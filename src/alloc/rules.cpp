@@ -11,6 +11,23 @@ using srclint::Token;
 
 namespace {
 
+/// The hot-path contract marker (util/hotpath.hpp).
+const char* const kHotMarker = "PASCHED_HOT";
+/// The arena-residency contract marker audited by PSL604.
+const char* const kArenaMarker = "PASCHED_ARENA";
+/// Qualified names of per-event lifecycle functions that are hot scope even
+/// without a PASCHED_HOT marker (belt-and-suspenders: the engine's event
+/// path stays covered if an annotation is dropped).
+const std::vector<std::string> kLifecycleFunctions = {
+    "Engine::schedule_at",  "Engine::cancel",       "Engine::fire_next",
+    "Engine::fire_tied",    "Engine::fire_item",    "Engine::acquire_slot",
+    "Engine::release_slot", "Engine::next_event_time", "Engine::run_before"};
+/// Types whose class bodies PSL603 audits for cache-layout hazards
+/// (owning/indirect members in event- or shard-resident values).
+const std::vector<std::string> kLayoutTypes = {"HeapItem", "Slot",
+                                               "CrossNodeEvent",
+                                               "TieCandidate"};
+
 [[nodiscard]] bool contains(const std::vector<std::string>& v,
                             const std::string& x) {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -93,8 +110,7 @@ struct AllocHit {
 };
 
 [[nodiscard]] std::vector<HotRegion> hot_regions(const SourceFile& f,
-                                                 const AllocConfig& cfg,
-                                                 FileRuleStats& stats) {
+                                                 Stats& stats) {
   std::vector<HotRegion> out;
   std::set<std::size_t> seen_bodies;
 
@@ -102,7 +118,7 @@ struct AllocHit {
   stats.functions += defs.size();
 
   for (const srclint::HotFunction& h :
-       srclint::find_marked_functions(f, cfg.hot_marker)) {
+       srclint::find_marked_functions(f, kHotMarker)) {
     HotRegion r;
     r.name = h.name;
     r.line = h.line;
@@ -121,7 +137,7 @@ struct AllocHit {
   stats.hot_functions += out.size();
 
   for (const srclint::FunctionDef& d : defs) {
-    if (!contains(cfg.lifecycle_functions, d.name)) continue;
+    if (!contains(kLifecycleFunctions, d.name)) continue;
     if (!seen_bodies.insert(d.body_begin).second) continue;
     out.push_back(HotRegion{d.name, d.line, d.body_begin, d.body_end, false});
   }
@@ -239,11 +255,11 @@ struct AllocHit {
   return hits;
 }
 
-void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
-          const SourceFile& f, const AllocConfig& cfg,
+void emit(std::vector<analysis::Diagnostic>& findings, Stats& stats,
+          const SourceFile& f, const srclint::RuleFilter& filter,
           const std::string& rule, analysis::Severity sev, int line,
           std::string message, std::string fix_hint) {
-  if (!cfg.rule_enabled(rule)) return;
+  if (!filter.enabled(rule)) return;
   if (f.suppressed(rule, line)) {
     ++stats.suppressions_honored;
     return;
@@ -259,12 +275,11 @@ void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
 
 // -- PSL603: cache-layout hazards in event/shard-resident types ---------------
 
-void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
-                 std::vector<analysis::Diagnostic>& findings,
-                 FileRuleStats& stats) {
+void rule_psl603(const SourceFile& f, const srclint::RuleFilter& filter,
+                 std::vector<analysis::Diagnostic>& findings, Stats& stats) {
   const auto& t = f.tokens;
   for (const srclint::ClassBody& cb :
-       srclint::find_class_bodies(f, cfg.layout_types)) {
+       srclint::find_class_bodies(f, kLayoutTypes)) {
     std::set<int> fired;  // one finding per line
     for (std::size_t i = cb.body_begin; i < cb.body_end; ++i) {
       if (t[i].pp || t[i].kind != Tok::Identifier) continue;
@@ -274,7 +289,7 @@ void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
       const std::string& x = t[i].text;
       if (is_owning_type(x) || is_indirect_type(x)) {
         if (!fired.insert(t[i].line).second) continue;
-        emit(findings, stats, f, cfg, "PSL603",
+        emit(findings, stats, f, filter, "PSL603",
              analysis::Severity::Warning, t[i].line,
              "`" + cb.name + "` is event/shard-resident but holds a `" + x +
                  "` member: every event touching it pays a pointer chase "
@@ -291,7 +306,7 @@ void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
           t[i + 2].kind == Tok::Identifier &&
           (t[i + 3].text == ";" || t[i + 3].text == "=")) {
         if (!fired.insert(t[i].line).second) continue;
-        emit(findings, stats, f, cfg, "PSL603",
+        emit(findings, stats, f, filter, "PSL603",
              analysis::Severity::Warning, t[i].line,
              "`" + cb.name + "` is event/shard-resident but holds raw "
              "pointer member `" + t[i + 2].text +
@@ -308,13 +323,12 @@ void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
 
 // -- PSL604: PASCHED_ARENA contract violations --------------------------------
 
-void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
-                 std::vector<analysis::Diagnostic>& findings,
-                 FileRuleStats& stats) {
+void rule_psl604(const SourceFile& f, const srclint::RuleFilter& filter,
+                 std::vector<analysis::Diagnostic>& findings, Stats& stats) {
   const auto& t = f.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].pp || t[i].kind != Tok::Identifier ||
-        t[i].text != cfg.arena_marker)
+        t[i].text != kArenaMarker)
       continue;
     // `struct PASCHED_ARENA Name { ... }` or `PASCHED_ARENA struct Name`.
     std::size_t name_idx;
@@ -341,7 +355,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
       if (t[k].pp) continue;
       if (t[k].text == "~" && k + 1 < body_end &&
           t[k + 1].text == name) {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, filter, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name +
                  "` declares a destructor: arena slabs never run "
@@ -352,7 +366,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
         continue;
       }
       if (t[k].kind == Tok::Identifier && t[k].text == "virtual") {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, filter, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name +
                  "` has a virtual member: a vptr breaks trivial "
@@ -365,7 +379,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
           k > 0 && (t[k - 1].text == "." || t[k - 1].text == "->");
       if (t[k].kind == Tok::Identifier && !member_access &&
           (is_owning_type(t[k].text) || is_indirect_type(t[k].text))) {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, filter, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name + "` owns heap memory (`" +
                  t[k].text +
@@ -377,7 +391,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
       }
       if (t[k].kind == Tok::Identifier && t[k].text == "new" &&
           !member_access && !(k + 1 < body_end && t[k + 1].text == "(")) {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, filter, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name +
                  "` allocates in a member function: arena values must not "
@@ -390,24 +404,13 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
 
 }  // namespace
 
-bool AllocConfig::rule_enabled(const std::string& id) const {
-  return only.empty() || contains(only, id);
-}
-
-bool AllocConfig::in_scope(const std::string& rel_path) const {
-  if (scope.empty()) return true;
-  return std::any_of(scope.begin(), scope.end(), [&](const std::string& p) {
-    return rel_path.rfind(p, 0) == 0;
-  });
-}
-
-void run_file_rules(const SourceFile& f, const AllocConfig& cfg,
+void run_file_rules(const SourceFile& f, const srclint::RuleFilter& filter,
                     std::vector<analysis::Diagnostic>& findings,
-                    std::vector<AllocClaim>& claims, FileRuleStats& stats) {
-  for (const HotRegion& r : hot_regions(f, cfg, stats)) {
+                    std::vector<AllocClaim>& claims, Stats& stats) {
+  for (const HotRegion& r : hot_regions(f, stats)) {
     const std::vector<AllocHit> hits = scan_region(f, r);
     for (const AllocHit& h : hits)
-      emit(findings, stats, f, cfg, h.rule, analysis::Severity::Error,
+      emit(findings, stats, f, filter, h.rule, analysis::Severity::Error,
            h.line, h.message, h.fix_hint);
     // PSL605: only a marker-carrying function with zero hits — suppressed
     // ones included — earns the allocation-free claim. A waiver silences
@@ -415,8 +418,8 @@ void run_file_rules(const SourceFile& f, const AllocConfig& cfg,
     if (r.marked && hits.empty())
       claims.push_back(AllocClaim{r.name, f.path, r.line});
   }
-  rule_psl603(f, cfg, findings, stats);
-  rule_psl604(f, cfg, findings, stats);
+  rule_psl603(f, filter, findings, stats);
+  rule_psl604(f, filter, findings, stats);
 }
 
 }  // namespace pasched::alloc

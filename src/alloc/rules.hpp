@@ -1,7 +1,7 @@
-// Per-file allocation & memory-layout rules for the pasched-alloc static
-// analyzer (PSL601–PSL605), over the srclint token/structural model. The
-// hot scope a rule guards is the union of PASCHED_HOT-annotated function
-// bodies and the configured event-lifecycle functions (matched by their
+// The allocation rule pack (PSL601–PSL605) of the source analyzer: per-file
+// allocation & memory-layout rules over the srclint token/structural model.
+// The hot scope a rule guards is the union of PASCHED_HOT-annotated function
+// bodies and the engine's event-lifecycle functions (matched by their
 // qualified FunctionDef names), so the engine's per-event core is covered
 // even where a function is not annotated yet. PSL606 is the runtime half
 // (alloc/ledger.hpp) and has no static rule here.
@@ -18,38 +18,8 @@
 
 namespace pasched::alloc {
 
-/// Tunables for the analyzer. Defaults describe this repo's event core;
-/// fixture corpora reuse them unchanged (fixtures mirror the src/ layout).
-struct AllocConfig {
-  /// Path prefixes in scope. Allocation in tests/bench/tools harness code
-  /// is not an event-hot-path concern.
-  std::vector<std::string> scope = {"src/"};
-  /// The hot-path contract marker (util/hotpath.hpp).
-  std::string hot_marker = "PASCHED_HOT";
-  /// The arena-residency contract marker audited by PSL604.
-  std::string arena_marker = "PASCHED_ARENA";
-  /// Qualified names of per-event lifecycle functions that are hot scope
-  /// even without a PASCHED_HOT marker (belt-and-suspenders: the engine's
-  /// event path stays covered if an annotation is dropped).
-  std::vector<std::string> lifecycle_functions = {
-      "Engine::schedule_at",    "Engine::cancel",
-      "Engine::fire_next",      "Engine::fire_tied",
-      "Engine::fire_item",      "Engine::acquire_slot",
-      "Engine::release_slot",   "Engine::next_event_time",
-      "Engine::run_before"};
-  /// Types whose class bodies PSL603 audits for cache-layout hazards
-  /// (owning/indirect members in event- or shard-resident values).
-  std::vector<std::string> layout_types = {"HeapItem", "Slot",
-                                           "CrossNodeEvent", "TieCandidate"};
-  /// When non-empty, only these rule IDs report (claims are unaffected).
-  std::vector<std::string> only;
-
-  [[nodiscard]] bool rule_enabled(const std::string& id) const;
-  [[nodiscard]] bool in_scope(const std::string& rel_path) const;
-};
-
-/// Aggregated per-file counters the tree runner folds into AllocStats.
-struct FileRuleStats {
+/// The pack's counters over one scan.
+struct Stats {
   std::size_t functions = 0;
   std::size_t hot_functions = 0;
   std::size_t arena_types = 0;
@@ -60,8 +30,10 @@ struct FileRuleStats {
 /// PSL605 AllocClaim per hot-marked function whose body carries no PSL601/
 /// PSL602 hit at all — suppressed hits also forfeit the claim: a waiver
 /// silences the finding but cannot certify the region allocation-free.
-void run_file_rules(const srclint::SourceFile& f, const AllocConfig& cfg,
+/// Claims ignore `filter`: it narrows what reports, not what is certified.
+void run_file_rules(const srclint::SourceFile& f,
+                    const srclint::RuleFilter& filter,
                     std::vector<analysis::Diagnostic>& findings,
-                    std::vector<AllocClaim>& claims, FileRuleStats& stats);
+                    std::vector<AllocClaim>& claims, Stats& stats);
 
 }  // namespace pasched::alloc

@@ -1,5 +1,5 @@
-// Cross-TU lock-order graph for pasched-contend. Canonicalizes the names
-// extract_locks recorded ("mu" written inside ShardedEngine::post becomes
+// Cross-TU lock-order graph for the contention rule pack. Canonicalizes the
+// names extract_locks recorded ("mu" written inside ShardedEngine::post becomes
 // the node "Inbox.mu" via the member-declaration map; locals fall back to
 // "file:name"), merges same-named functions across TUs, closes acquired
 // locksets and blocking-ness over the call graph, and builds the directed

@@ -11,6 +11,17 @@ using srclint::Token;
 
 namespace {
 
+/// RAII guard templates whose constructor acquires its mutex arguments.
+const std::vector<std::string> kGuardTypes = {"scoped_lock", "lock_guard",
+                                              "unique_lock", "shared_lock"};
+/// Type names that declare a mutex member ("Class.member" graph nodes).
+const std::vector<std::string> kMutexTypes = {
+    "mutex", "timed_mutex", "recursive_mutex", "shared_mutex", "SeamMutex"};
+/// Member calls that park the calling thread (blocking seams). Note
+/// arrive_and_drop is absent: dropping never parks.
+const std::vector<std::string> kBlockingCalls = {"arrive_and_wait", "wait",
+                                                 "wait_for", "wait_until"};
+
 [[nodiscard]] bool contains(const std::vector<std::string>& v,
                             const std::string& x) {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -117,18 +128,7 @@ class HeldTracker {
 
 }  // namespace
 
-bool ContendConfig::rule_enabled(const std::string& id) const {
-  return only.empty() || contains(only, id);
-}
-
-bool ContendConfig::in_scope(const std::string& rel_path) const {
-  if (scope.empty()) return true;
-  return std::any_of(scope.begin(), scope.end(), [&](const std::string& p) {
-    return rel_path.rfind(p, 0) == 0;
-  });
-}
-
-FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
+FileLocks extract_locks(const SourceFile& f) {
   FileLocks out;
   out.path = f.path;
   const auto& t = f.tokens;
@@ -138,7 +138,7 @@ FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
   for (const srclint::ClassBody& cb : srclint::find_all_class_bodies(f)) {
     for (std::size_t i = cb.body_begin; i + 1 < cb.body_end; ++i) {
       if (t[i].pp || t[i].kind != Tok::Identifier) continue;
-      if (!contains(cfg.mutex_types, t[i].text)) continue;
+      if (!contains(kMutexTypes, t[i].text)) continue;
       std::size_t j = i + 1;
       if (j < cb.body_end && t[j].text == "<") j = skip_template_args(t, j);
       if (j >= cb.body_end || t[j].kind != Tok::Identifier) continue;
@@ -171,7 +171,7 @@ FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
       if (tok.kind != Tok::Identifier) continue;
 
       // RAII guard declaration: guard_type [<...>] [var] ( args ) / { args }.
-      if (contains(cfg.guard_types, tok.text)) {
+      if (contains(kGuardTypes, tok.text)) {
         std::size_t j = i + 1;
         if (j < fd.body_end && t[j].text == "<") j = skip_template_args(t, j);
         std::string var;
@@ -250,7 +250,7 @@ FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
         continue;
       }
       if (member_ctx && call_shape &&
-          contains(cfg.blocking_calls, tok.text)) {
+          contains(kBlockingCalls, tok.text)) {
         fl.blocking.push_back(
             BlockingUse{tok.text, tok.line, held.snapshot()});
         i = srclint::match_forward(t, i + 1);
@@ -259,8 +259,8 @@ FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
 
       // Plain call site for the cross-TU closure.
       if (call_shape && !ignored_callee(tok.text) &&
-          !contains(cfg.guard_types, tok.text) &&
-          !contains(cfg.blocking_calls, tok.text)) {
+          !contains(kGuardTypes, tok.text) &&
+          !contains(kBlockingCalls, tok.text)) {
         fl.calls.push_back(CallSite{tok.text, tok.line, held.snapshot()});
         // Do NOT skip the argument range: nested calls are call sites too.
       }

@@ -1,4 +1,4 @@
-// Per-function lockset extraction for the pasched-contend static analyzer.
+// Per-function lockset extraction for the contention rule pack.
 // Built on the srclint token/structural model: for every recovered function
 // definition we track which mutexes are held at each acquisition, each call
 // site, and each direct blocking seam (barrier arrive_and_wait, condition
@@ -14,33 +14,6 @@
 #include "srclint/source.hpp"
 
 namespace pasched::contend {
-
-/// Tunables for the analyzer. Defaults describe this repo's core; fixture
-/// corpora reuse them unchanged (fixtures mirror the src/ layout).
-struct ContendConfig {
-  /// Path prefixes in scope for lock extraction and the PSL50x rules.
-  /// Harness-local locks in tests/bench/tools are not scheduler seams.
-  std::vector<std::string> scope = {"src/"};
-  /// RAII guard templates whose constructor acquires its mutex arguments.
-  std::vector<std::string> guard_types = {"scoped_lock", "lock_guard",
-                                          "unique_lock", "shared_lock"};
-  /// Type names that declare a mutex member ("Class.member" graph nodes).
-  std::vector<std::string> mutex_types = {"mutex", "timed_mutex",
-                                          "recursive_mutex", "shared_mutex",
-                                          "SeamMutex"};
-  /// Member calls that park the calling thread (blocking seams). Note
-  /// arrive_and_drop is absent: dropping never parks.
-  std::vector<std::string> blocking_calls = {"arrive_and_wait", "wait",
-                                             "wait_for", "wait_until"};
-  /// Classes whose field layout PSL503 audits for false sharing.
-  std::vector<std::string> shared_classes = {"ShardedEngine", "Inbox",
-                                             "Ledger"};
-  /// When non-empty, only these rule IDs report.
-  std::vector<std::string> only;
-
-  [[nodiscard]] bool rule_enabled(const std::string& id) const;
-  [[nodiscard]] bool in_scope(const std::string& rel_path) const;
-};
 
 /// A mutex-typed data member: the declaration behind a "Class.member" node.
 struct MutexMember {
@@ -89,7 +62,6 @@ struct FileLocks {
 /// every class body, and per-function acquisition/call/blocking records with
 /// held-set tracking (RAII guards scoped to their enclosing block, manual
 /// lock()/unlock() pairs, unique_lock variables mapped to their mutex).
-[[nodiscard]] FileLocks extract_locks(const srclint::SourceFile& f,
-                                      const ContendConfig& cfg);
+[[nodiscard]] FileLocks extract_locks(const srclint::SourceFile& f);
 
 }  // namespace pasched::contend

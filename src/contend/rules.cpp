@@ -1,8 +1,11 @@
 #include "contend/rules.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <sstream>
 
+#include "contend/graph.hpp"
 #include "srclint/model.hpp"
 
 namespace pasched::contend {
@@ -12,6 +15,10 @@ using srclint::Tok;
 using srclint::Token;
 
 namespace {
+
+/// Classes whose field layout PSL503 audits for false sharing.
+const std::vector<std::string> kSharedClasses = {"ShardedEngine", "Inbox",
+                                                 "Ledger"};
 
 [[nodiscard]] bool is_scalarish(const std::string& x) noexcept {
   static const char* const kScalar[] = {
@@ -125,11 +132,11 @@ struct MemberStmt {
   });
 }
 
-void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
-          const SourceFile& f, const ContendConfig& cfg,
+void emit(std::vector<analysis::Diagnostic>& findings, Stats& stats,
+          const SourceFile& f, const srclint::RuleFilter& filter,
           const std::string& rule, analysis::Severity sev, int line,
           std::string message, std::string fix_hint) {
-  if (!cfg.rule_enabled(rule)) return;
+  if (!filter.enabled(rule)) return;
   if (f.suppressed(rule, line)) {
     ++stats.suppressions_honored;
     return;
@@ -145,12 +152,11 @@ void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
 
 // -- PSL503: false-sharing layout in shard-shared classes ---------------------
 
-void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
-                 std::vector<analysis::Diagnostic>& findings,
-                 FileRuleStats& stats) {
+void rule_psl503(const SourceFile& f, const srclint::RuleFilter& filter,
+                 std::vector<analysis::Diagnostic>& findings, Stats& stats) {
   const auto& t = f.tokens;
   for (const srclint::ClassBody& cb :
-       srclint::find_class_bodies(f, cfg.shared_classes)) {
+       srclint::find_class_bodies(f, kSharedClasses)) {
     for (const MemberStmt& st : member_statements(f, cb)) {
       if (looks_like_function_decl(f, st)) continue;
       if (stmt_has(f, st, "alignas") || stmt_has(f, st, "CacheAligned") ||
@@ -184,7 +190,7 @@ void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
           if (is_padding_wrapper(mt.text)) padded = true;
         }
         if (scalar && !padded) {
-          emit(findings, stats, f, cfg, "PSL503",
+          emit(findings, stats, f, filter, "PSL503",
                analysis::Severity::Warning, st.line,
                "per-shard container `" + cb.name + "::" + name +
                    "` packs scalar-sized elements contiguously: adjacent "
@@ -202,7 +208,7 @@ void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
 
       // (b) a bare atomic member next to other mutable fields.
       if (stmt_has(f, st, "atomic")) {
-        emit(findings, stats, f, cfg, "PSL503", analysis::Severity::Warning,
+        emit(findings, stats, f, filter, "PSL503", analysis::Severity::Warning,
              st.line,
              "atomic member `" + cb.name + "::" + name +
                  "` is declared without cache-line isolation in a "
@@ -217,9 +223,8 @@ void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
 
 // -- PSL504: shared atomic updated inside a hot loop --------------------------
 
-void rule_psl504(const SourceFile& f, const ContendConfig& cfg,
-                 std::vector<analysis::Diagnostic>& findings,
-                 FileRuleStats& stats) {
+void rule_psl504(const SourceFile& f, const srclint::RuleFilter& filter,
+                 std::vector<analysis::Diagnostic>& findings, Stats& stats) {
   const auto& t = f.tokens;
 
   // All atomic-typed declaration names in the file (members and locals).
@@ -278,7 +283,7 @@ void rule_psl504(const SourceFile& f, const ContendConfig& cfg,
         update = true;
       if (!update) continue;
       if (!fired.insert({name, t[k].line}).second) continue;
-      emit(findings, stats, f, cfg, "PSL504", analysis::Severity::Warning,
+      emit(findings, stats, f, filter, "PSL504", analysis::Severity::Warning,
            t[k].line,
            "shared atomic `" + name +
                "` is read-modify-written on every iteration of a loop: "
@@ -293,10 +298,9 @@ void rule_psl504(const SourceFile& f, const ContendConfig& cfg,
 // -- PSL505: coarse mutex over Owned-tagged state -----------------------------
 
 void rule_psl505(const SourceFile& f, const FileLocks& locks,
-                 const ContendConfig& cfg,
+                 const srclint::RuleFilter& filter,
                  std::vector<analysis::Diagnostic>& findings,
-                 std::vector<SerializationClaim>& claims,
-                 FileRuleStats& stats) {
+                 std::vector<SerializationClaim>& claims, Stats& stats) {
   const auto& t = f.tokens;
   std::set<std::string> owned_classes;
   for (const srclint::ClassBody& cb : srclint::find_all_class_bodies(f)) {
@@ -314,7 +318,7 @@ void rule_psl505(const SourceFile& f, const FileLocks& locks,
     // The claim outlives the WARN: a suppressed PSL505 still gets its
     // runtime verification (PSL506) — certify, then verify.
     claims.push_back(SerializationClaim{site, f.path, m.line});
-    emit(findings, stats, f, cfg, "PSL505", analysis::Severity::Warning,
+    emit(findings, stats, f, filter, "PSL505", analysis::Severity::Warning,
          m.line,
          "mutex `" + site + "` guards a class whose race::Owned tag "
          "proves single-domain ownership: the lock is wider than the "
@@ -325,16 +329,120 @@ void rule_psl505(const SourceFile& f, const FileLocks& locks,
   }
 }
 
+/// PSL501: one ERROR per lock-order cycle, anchored at the cycle's
+/// lexicographically-first witness edge so the subject is stable.
+void rule_psl501(const LockGraph& g,
+                 const std::map<std::string, const SourceFile*>& by_path,
+                 const srclint::RuleFilter& filter,
+                 std::vector<analysis::Diagnostic>& findings, Stats& stats) {
+  for (const LockCycle& cyc : g.cycles()) {
+    ++stats.cycles;
+    if (!filter.enabled("PSL501")) continue;
+    const LockEdge* anchor = &cyc.edges.front();
+    for (const LockEdge& e : cyc.edges) {
+      if (e.file + ":" + std::to_string(e.line) <
+          anchor->file + ":" + std::to_string(anchor->line))
+        anchor = &e;
+    }
+    const auto it = by_path.find(anchor->file);
+    if (it != by_path.end() &&
+        it->second->suppressed("PSL501", anchor->line)) {
+      ++stats.suppressions_honored;
+      continue;
+    }
+    std::ostringstream cycle_txt;
+    for (const std::string& n : cyc.nodes) cycle_txt << n << " -> ";
+    cycle_txt << cyc.nodes.front();
+    std::ostringstream witness;
+    for (std::size_t i = 0; i < cyc.edges.size(); ++i) {
+      const LockEdge& e = cyc.edges[i];
+      witness << (i == 0 ? "" : ", ") << e.from << "->" << e.to << " at "
+              << e.file << ":" << e.line;
+    }
+    analysis::Diagnostic d;
+    d.rule = "PSL501";
+    d.severity = analysis::Severity::Error;
+    d.subject = anchor->file + ":" + std::to_string(anchor->line);
+    d.message = "lock-order cycle: " + cycle_txt.str() + " (" +
+                witness.str() + ") — two workers taking these locks in "
+                "opposite order deadlock the window protocol";
+    d.fix_hint =
+        "impose one global acquisition order (document it where the "
+        "mutexes are declared) and release before taking the earlier lock";
+    findings.push_back(std::move(d));
+  }
+}
+
+/// PSL502: ERROR for every lock held across a blocking seam.
+void rule_psl502(const LockGraph& g,
+                 const std::map<std::string, const SourceFile*>& by_path,
+                 const srclint::RuleFilter& filter,
+                 std::vector<analysis::Diagnostic>& findings, Stats& stats) {
+  if (!filter.enabled("PSL502")) return;
+  std::set<std::string> emitted;  // dedupe (lock, file, line)
+  for (const BlockingViolation& v : g.blocking()) {
+    const std::string key =
+        v.lock + "|" + v.file + "|" + std::to_string(v.line);
+    if (!emitted.insert(key).second) continue;
+    const auto it = by_path.find(v.file);
+    if (it != by_path.end() && it->second->suppressed("PSL502", v.line)) {
+      ++stats.suppressions_honored;
+      continue;
+    }
+    analysis::Diagnostic d;
+    d.rule = "PSL502";
+    d.severity = analysis::Severity::Error;
+    d.subject = v.file + ":" + std::to_string(v.line);
+    d.message = "lock `" + v.lock + "` is held across a blocking seam (" +
+                v.seam +
+                "): every other thread needing it inherits the full "
+                "barrier/wait latency, the serialization the paper's "
+                "gang-dispatch exists to avoid";
+    d.fix_hint =
+        "release the lock before parking: copy what the critical section "
+        "needs, unlock, then wait (the ShardedEngine drains inboxes "
+        "outside its plan lock for exactly this reason)";
+    findings.push_back(std::move(d));
+  }
+}
+
 }  // namespace
 
 void run_file_rules(const SourceFile& f, const FileLocks& locks,
-                    const ContendConfig& cfg,
+                    const srclint::RuleFilter& filter,
                     std::vector<analysis::Diagnostic>& findings,
-                    std::vector<SerializationClaim>& claims,
-                    FileRuleStats& stats) {
-  rule_psl503(f, cfg, findings, stats);
-  rule_psl504(f, cfg, findings, stats);
-  rule_psl505(f, locks, cfg, findings, claims, stats);
+                    std::vector<SerializationClaim>& claims, Stats& stats) {
+  rule_psl503(f, filter, findings, stats);
+  rule_psl504(f, filter, findings, stats);
+  rule_psl505(f, locks, filter, findings, claims, stats);
+}
+
+void run_pack(const std::vector<const SourceFile*>& files,
+              const srclint::RuleFilter& filter,
+              std::vector<analysis::Diagnostic>& findings,
+              std::vector<SerializationClaim>& claims,
+              std::vector<std::string>& graph, Stats& stats) {
+  std::vector<FileLocks> locks;
+  std::map<std::string, const SourceFile*> by_path;
+  for (const SourceFile* f : files) {
+    locks.push_back(extract_locks(*f));
+    by_path[f->path] = f;
+    const FileLocks& fl = locks.back();
+    stats.functions += fl.functions.size();
+    stats.mutex_members += fl.mutex_members.size();
+    for (const FunctionLocks& fn : fl.functions)
+      stats.acquisitions += fn.acquisitions.size();
+  }
+
+  const LockGraph g(locks);
+  graph = g.edge_lines();
+  stats.graph_nodes = g.node_count();
+  stats.graph_edges = g.edges().size();
+
+  for (std::size_t i = 0; i < files.size(); ++i)
+    run_file_rules(*files[i], locks[i], filter, findings, claims, stats);
+  rule_psl501(g, by_path, filter, findings, stats);
+  rule_psl502(g, by_path, filter, findings, stats);
 }
 
 }  // namespace pasched::contend

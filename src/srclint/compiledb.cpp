@@ -22,9 +22,7 @@ const char* const kExts[] = {".cpp", ".cxx", ".cc", ".hpp", ".hh", ".ipp"};
 }
 
 [[nodiscard]] bool excluded(const std::string& rel) {
-  return rel.find("srclint/fixtures/") != std::string::npos ||
-         rel.find("contend/fixtures/") != std::string::npos ||
-         rel.find("alloc/fixtures/") != std::string::npos ||
+  return rel.find("/fixtures/") != std::string::npos ||
          rel.find("build/") == 0 || rel.find("build-") == 0 ||
          rel.find("_deps/") != std::string::npos ||
          rel.find("third_party/") != std::string::npos;

@@ -5,7 +5,7 @@
 // fresh checkouts) discovery falls back to the walk alone.
 //
 // The walk intentionally knows this repo's layout: src/, tools/, bench/,
-// examples/, tests/ — and excludes build trees, vendored deps, and the
+// examples/, tests/ — and excludes build trees, vendored deps, and any
 // planted-violation fixture corpus (tests/srclint/fixtures), which must
 // never leak into a clean-tree scan.
 #pragma once

@@ -75,7 +75,7 @@ struct FunctionDef {
 /// [qualifiers] [: ctor-init-list] {` shape. Control-flow keywords, pure
 /// declarations (ending in ';') and call expressions are skipped; lambdas
 /// are not recovered as functions (their bodies belong to the enclosing
-/// definition). This is the walker pasched-contend builds per-function
+/// definition). This is the walker the contention pack builds per-function
 /// locksets on, so recall matters more than precision: a macro-heavy
 /// pseudo-definition (TEST(a, b) { ... }) is recovered as a function too.
 [[nodiscard]] std::vector<FunctionDef> find_functions(const SourceFile& f);

@@ -14,6 +14,33 @@ namespace {
 using analysis::Diagnostic;
 using analysis::Severity;
 
+/// PSL401: directories whose code may touch sim::Engine directly — the
+/// engine's own subsystem, the harness layers that drive it by design, and
+/// src/mc (the model checker constructs single-engine micro-models and
+/// steers their tie-breaks; that is its whole job).
+const std::vector<std::string> kSeamAllow = {
+    "src/sim/", "src/mc/", "tools/", "tests/", "bench/", "examples/"};
+/// PSL402: shard-resident classes that must carry a race::Owned tag, and
+/// the subsystems they live in.
+const std::vector<std::string> kShardResident = {
+    "Node", "Kernel", "Job", "Task", "NodeDaemons", "IoService", "Tracer",
+    "EventLog"};
+const std::vector<std::string> kShardResidentScope = {
+    "src/cluster/", "src/kern/", "src/mpi/", "src/daemons/", "src/trace/"};
+/// PSL403: the hot-path marker bound to function bodies.
+const char* const kHotMarker = "PASCHED_HOT";
+/// PSL404: macros whose arguments vanish under -DPASCHED_VALIDATE=OFF.
+const std::vector<std::string> kVanishingMacros = {
+    "PASCHED_CHECK", "PASCHED_CHECK_MSG", "PASCHED_ASSERT_OWNED",
+    "PASCHED_ASSERT_DOMAIN"};
+/// PSL405: subsystems whose behaviour feeds traces/digests and must stay
+/// bit-deterministic.
+const std::vector<std::string> kDeterminismScope = {"src/sim/", "src/kern/",
+                                                    "src/net/", "src/mpi/"};
+/// PSL406: the only places allowed to create threads.
+const std::vector<std::string> kThreadAllow = {
+    "src/sim/shard", "tools/", "tests/", "bench/", "examples/"};
+
 [[nodiscard]] bool path_in(const std::vector<std::string>& prefixes,
                            const std::string& path) {
   return std::any_of(prefixes.begin(), prefixes.end(),
@@ -49,26 +76,20 @@ using analysis::Severity;
 
 class RuleRun {
  public:
-  RuleRun(const SourceFile& f, const RuleConfig& cfg, RuleStats* stats)
-      : f_(f), cfg_(cfg), stats_(stats) {}
+  RuleRun(const SourceFile& f, const RuleFilter& filter, RuleStats* stats)
+      : f_(f), filter_(filter), stats_(stats) {}
 
   std::vector<Diagnostic> run() {
-    if (enabled("PSL401")) psl401();
-    if (enabled("PSL402")) psl402();
-    if (enabled("PSL403")) psl403();
-    if (enabled("PSL404")) psl404();
-    if (enabled("PSL405")) psl405();
-    if (enabled("PSL406")) psl406();
+    if (filter_.enabled("PSL401")) psl401();
+    if (filter_.enabled("PSL402")) psl402();
+    if (filter_.enabled("PSL403")) psl403();
+    if (filter_.enabled("PSL404")) psl404();
+    if (filter_.enabled("PSL405")) psl405();
+    if (filter_.enabled("PSL406")) psl406();
     return std::move(out_);
   }
 
  private:
-  [[nodiscard]] bool enabled(const char* id) const {
-    return cfg_.only.empty() ||
-           std::find(cfg_.only.begin(), cfg_.only.end(), id) !=
-               cfg_.only.end();
-  }
-
   void report(const char* rule, int line, std::string message,
               std::string fix) {
     if (f_.suppressed(rule, line)) {
@@ -87,7 +108,7 @@ class RuleRun {
   // -- PSL401: the Router/EventContext posting seam -------------------------
 
   void psl401() {
-    if (path_in(cfg_.seam_allow, f_.path)) return;
+    if (path_in(kSeamAllow, f_.path)) return;
     const auto& t = f_.tokens;
     static const std::array<const char*, 11> kMutators = {
         "schedule_at", "schedule_after", "cancel",          "run",
@@ -142,9 +163,9 @@ class RuleRun {
   // -- PSL402: shard-resident ownership annotations -------------------------
 
   void psl402() {
-    if (!path_in(cfg_.shard_resident_scope, f_.path)) return;
+    if (!path_in(kShardResidentScope, f_.path)) return;
     const auto& t = f_.tokens;
-    for (const ClassBody& c : find_class_bodies(f_, cfg_.shard_resident)) {
+    for (const ClassBody& c : find_class_bodies(f_, kShardResident)) {
       bool has_owned = false;
       for (std::size_t i = c.body_begin; i < c.body_end; ++i) {
         if (t[i].kind == Tok::Identifier && is(t[i], "Owned")) {
@@ -191,7 +212,7 @@ class RuleRun {
 
   void psl403() {
     const auto& t = f_.tokens;
-    const auto hots = find_marked_functions(f_, cfg_.hot_marker);
+    const auto hots = find_marked_functions(f_, kHotMarker);
     if (stats_ != nullptr) stats_->hot_functions += hots.size();
     static const std::array<const char*, 6> kAlloc = {
         "malloc", "calloc", "realloc", "aligned_alloc", "make_unique",
@@ -263,7 +284,7 @@ class RuleRun {
 
   void psl404() {
     const auto& t = f_.tokens;
-    const auto calls = find_macro_calls(f_, cfg_.vanishing_macros);
+    const auto calls = find_macro_calls(f_, kVanishingMacros);
     if (stats_ != nullptr) stats_->macro_calls += calls.size();
     static const std::array<const char*, 11> kMutOps = {
         "++", "--", "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="};
@@ -290,7 +311,7 @@ class RuleRun {
   // -- PSL405: nondeterminism sources in the deterministic core -------------
 
   void psl405() {
-    if (!path_in(cfg_.determinism_scope, f_.path)) return;
+    if (!path_in(kDeterminismScope, f_.path)) return;
     const auto& t = f_.tokens;
     static const std::array<const char*, 7> kBannedAny = {
         "srand",        "random_device", "system_clock",
@@ -386,7 +407,7 @@ class RuleRun {
   // -- PSL406: thread creation outside the worker pool ----------------------
 
   void psl406() {
-    if (path_in(cfg_.thread_allow, f_.path)) return;
+    if (path_in(kThreadAllow, f_.path)) return;
     const auto& t = f_.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i].pp || t[i].kind != Tok::Identifier) continue;
@@ -419,7 +440,7 @@ class RuleRun {
   }
 
   const SourceFile& f_;
-  const RuleConfig& cfg_;
+  const RuleFilter& filter_;
   RuleStats* stats_;
   std::vector<Diagnostic> out_;
 };
@@ -427,8 +448,8 @@ class RuleRun {
 }  // namespace
 
 std::vector<Diagnostic> run_rules(const SourceFile& file,
-                                  const RuleConfig& cfg, RuleStats* stats) {
-  return RuleRun(file, cfg, stats).run();
+                                  const RuleFilter& filter, RuleStats* stats) {
+  return RuleRun(file, filter, stats).run();
 }
 
 }  // namespace pasched::srclint

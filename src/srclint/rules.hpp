@@ -23,49 +23,17 @@
 
 namespace pasched::srclint {
 
-/// Per-rule scoping. Defaults encode this repository's layout; the fixture
-/// tests reuse the same defaults by mirroring the layout under the plant
-/// root.
-struct RuleConfig {
-  /// PSL401: directories whose code may touch sim::Engine directly — the
-  /// engine's own subsystem, the harness layers that drive it by design,
-  /// and src/mc (the model checker constructs single-engine micro-models
-  /// and steers their tie-breaks; that is its whole job).
-  std::vector<std::string> seam_allow = {"src/sim/", "src/mc/", "tools/",
-                                         "tests/", "bench/", "examples/"};
-  /// PSL402: shard-resident classes that must carry a race::Owned tag, and
-  /// the subsystems they live in.
-  std::vector<std::string> shard_resident = {"Node",        "Kernel",
-                                             "Job",         "Task",
-                                             "NodeDaemons", "IoService",
-                                             "Tracer",      "EventLog"};
-  std::vector<std::string> shard_resident_scope = {
-      "src/cluster/", "src/kern/", "src/mpi/", "src/daemons/", "src/trace/"};
-  /// PSL403: the hot-path marker bound to function bodies.
-  std::string hot_marker = "PASCHED_HOT";
-  /// PSL404: macros whose arguments vanish under -DPASCHED_VALIDATE=OFF.
-  std::vector<std::string> vanishing_macros = {
-      "PASCHED_CHECK", "PASCHED_CHECK_MSG", "PASCHED_ASSERT_OWNED",
-      "PASCHED_ASSERT_DOMAIN"};
-  /// PSL405: subsystems whose behaviour feeds traces/digests and must stay
-  /// bit-deterministic.
-  std::vector<std::string> determinism_scope = {"src/sim/", "src/kern/",
-                                                "src/net/", "src/mpi/"};
-  /// PSL406: the only places allowed to create threads.
-  std::vector<std::string> thread_allow = {"src/sim/shard", "tools/",
-                                           "tests/", "bench/", "examples/"};
-  /// Restrict to these rule IDs (empty = all).
-  std::vector<std::string> only;
-};
-
 struct RuleStats {
   std::size_t hot_functions = 0;
   std::size_t macro_calls = 0;
   std::size_t suppressions_honored = 0;
 };
 
-/// Runs every (enabled) rule over one file.
+/// Runs every rule `filter` enables over one file. The scopes and
+/// allowlists are constants in rules.cpp that encode this repository's
+/// layout; the fixture corpus mirrors that layout under its own root.
 [[nodiscard]] std::vector<analysis::Diagnostic> run_rules(
-    const SourceFile& file, const RuleConfig& cfg, RuleStats* stats = nullptr);
+    const SourceFile& file, const RuleFilter& filter,
+    RuleStats* stats = nullptr);
 
 }  // namespace pasched::srclint

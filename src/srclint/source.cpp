@@ -264,6 +264,11 @@ bool SourceFile::suppressed(const std::string& rule, int line) const {
                      });
 }
 
+bool RuleFilter::enabled(const std::string& rule) const {
+  return only.empty() ||
+         std::find(only.begin(), only.end(), rule) != only.end();
+}
+
 SourceFile lex_string(const std::string& content, std::string rel_path) {
   SourceFile f;
   f.path = std::move(rel_path);

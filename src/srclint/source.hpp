@@ -57,6 +57,14 @@ struct SourceFile {
   [[nodiscard]] bool suppressed(const std::string& rule, int line) const;
 };
 
+/// Which rules report (empty `only` = all). This is the analyzer's one
+/// setting: every other tunable is a constant of the rule pack that owns it.
+struct RuleFilter {
+  std::vector<std::string> only;
+
+  [[nodiscard]] bool enabled(const std::string& rule) const;
+};
+
 /// Lexes `content` as the file `rel_path`. Never fails: bytes that are not
 /// valid C++ lex as single-character punctuation and the rules ignore them.
 [[nodiscard]] SourceFile lex_string(const std::string& content,

@@ -1,4 +1,4 @@
-// Unit coverage of the pasched-contend lockset extractor: mutex member
+// Unit coverage of the contention pack's lockset extractor: mutex member
 // discovery, RAII-guard and manual lock()/unlock() held-set tracking, block
 // scoping, blocking-seam and call-site records — the raw material the
 // cross-TU LockGraph canonicalizes.
@@ -7,6 +7,7 @@
 #include <string>
 
 #include "contend/locks.hpp"
+#include "srclint/runner.hpp"
 #include "srclint/source.hpp"
 
 using namespace pasched;
@@ -16,7 +17,7 @@ namespace {
 contend::FileLocks extract(const std::string& code,
                            const std::string& path = "src/sim/fixture.cpp") {
   const srclint::SourceFile f = srclint::lex_string(code, path);
-  return contend::extract_locks(f, contend::ContendConfig{});
+  return contend::extract_locks(f);
 }
 
 }  // namespace
@@ -141,14 +142,14 @@ void f(Window& w) {
 }
 
 TEST(ContendLocks, ScopeFilterAndOnlyList) {
-  const contend::ContendConfig cfg;
-  EXPECT_TRUE(cfg.in_scope("src/sim/shard.cpp"));
-  EXPECT_FALSE(cfg.in_scope("tests/test_sim_shard.cpp"));
-  EXPECT_FALSE(cfg.in_scope("bench/micro_shard.cpp"));
+  EXPECT_TRUE(srclint::in_core_scope("src/sim/shard.cpp"));
+  EXPECT_FALSE(srclint::in_core_scope("tests/test_sim_shard.cpp"));
+  EXPECT_FALSE(srclint::in_core_scope("bench/micro_shard.cpp"));
 
-  contend::ContendConfig narrowed;
+  const srclint::RuleFilter all;
+  srclint::RuleFilter narrowed;
   narrowed.only = {"PSL503"};
-  EXPECT_TRUE(narrowed.rule_enabled("PSL503"));
-  EXPECT_FALSE(narrowed.rule_enabled("PSL501"));
-  EXPECT_TRUE(cfg.rule_enabled("PSL501"));  // empty only-list enables all
+  EXPECT_TRUE(narrowed.enabled("PSL503"));
+  EXPECT_FALSE(narrowed.enabled("PSL501"));
+  EXPECT_TRUE(all.enabled("PSL501"));  // empty only-list enables all
 }

@@ -29,14 +29,13 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
 #include "apps/channels.hpp"
 #include "check/audit.hpp"
 #include "check/check.hpp"
 #include "core/equivalence.hpp"
-#include "core/presets.hpp"
 #include "core/simulation.hpp"
 #include "trace/trace.hpp"
+#include "scenario.hpp"
 #include "util/flags.hpp"
 
 using namespace pasched;
@@ -122,22 +121,9 @@ struct RunDigest {
 };
 
 RunDigest run_scenario(const AuditParams& p, bool prototype) {
-  core::SimulationConfig cfg;
-  cfg.cluster = cluster::presets::frost(p.nodes);
-  cfg.cluster.seed = p.seed;
-  cfg.cluster.node.tunables =
-      prototype ? core::prototype_kernel() : core::vanilla_kernel();
-  cfg.job.ntasks = p.nodes * p.tasks_per_node;
-  cfg.job.tasks_per_node = p.tasks_per_node;
-  cfg.job.seed = p.seed;
-  cfg.use_coscheduler = prototype;
-  cfg.cosched = core::paper_cosched();
-
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-  core::Simulation sim(cfg, apps::aggregate_trace(at));
+  const tools::TraceScenario s = tools::trace_scenario(
+      prototype, p.nodes, p.tasks_per_node, p.calls, p.seed);
+  core::Simulation sim(s.cfg, s.factory);
 
   // One tracer observes every node; recording from t=0 captures the full
   // occupancy history, which is the strongest determinism witness we have.
@@ -216,36 +202,23 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
 int run_parallel_equivalence(const AuditParams& p, int workers) {
   int rc = 0;
   for (const bool prototype : {false, true}) {
-    const char* name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-    core::SimulationConfig cfg;
-    cfg.cluster = cluster::presets::frost(p.nodes);
-    cfg.cluster.seed = p.seed;
-    cfg.cluster.node.tunables =
-        prototype ? core::prototype_kernel() : core::vanilla_kernel();
-    cfg.job.ntasks = p.nodes * p.tasks_per_node;
-    cfg.job.tasks_per_node = p.tasks_per_node;
-    cfg.job.seed = p.seed;
-    cfg.use_coscheduler = prototype;
-    cfg.cosched = core::paper_cosched();
+    tools::TraceScenario s = tools::trace_scenario(
+        prototype, p.nodes, p.tasks_per_node, p.calls, p.seed);
+    core::SimulationConfig& cfg = s.cfg;
 
-    apps::AggregateTraceConfig at;
-    at.loops = 1;
-    at.calls_per_loop = p.calls;
-    at.warmup = sim::Duration::sec(6);
-    const mpi::WorkloadFactory factory = apps::aggregate_trace(at);
-
-    std::cout << "scenario " << name << ": legacy..." << std::flush;
+    std::cout << "scenario " << s.name << ": legacy..." << std::flush;
     cfg.parallel = 0;
-    const core::CanonicalDigest legacy = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest legacy =
+        core::run_canonical(cfg, s.factory);
     std::cout << " parallel=1..." << std::flush;
     cfg.parallel = 1;
-    const core::CanonicalDigest par1 = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest par1 = core::run_canonical(cfg, s.factory);
     std::cout << " parallel=" << workers << "..." << std::flush;
     cfg.parallel = workers;
-    const core::CanonicalDigest parn = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest parn = core::run_canonical(cfg, s.factory);
     std::cout << " parallel=" << workers << "/global..." << std::flush;
     cfg.planner = sim::PlannerMode::Global;
-    const core::CanonicalDigest parg = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest parg = core::run_canonical(cfg, s.factory);
     cfg.planner = sim::PlannerMode::PerPair;
 
     std::cout << "\n  legacy     hash=" << std::hex << legacy.hash << std::dec
@@ -260,7 +233,7 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
               << " completed=" << parg.completed << " events=" << parg.events
               << "\n";
     ScenarioRow row;
-    row.name = name;
+    row.name = s.name;
     row.hash = legacy.hash;
     row.events = legacy.events;
     row.completed = legacy.completed && par1.completed && parn.completed &&

@@ -34,12 +34,11 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
 #include "check/check.hpp"
-#include "core/presets.hpp"
 #include "core/simulation.hpp"
 #include "mc/schedule.hpp"
 #include "race/fuzz.hpp"
+#include "scenario.hpp"
 #include "util/flags.hpp"
 
 using namespace pasched;
@@ -59,30 +58,11 @@ struct Params {
   std::string replay;
 };
 
-struct Scenario {
-  const char* name;
-  core::SimulationConfig cfg;
-  mpi::WorkloadFactory factory;
-};
+using Scenario = tools::TraceScenario;
 
 Scenario make_scenario(const Params& p, bool prototype) {
-  Scenario s;
-  s.name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-  s.cfg.cluster = cluster::presets::frost(p.nodes);
-  s.cfg.cluster.seed = p.seed;
-  s.cfg.cluster.node.tunables =
-      prototype ? core::prototype_kernel() : core::vanilla_kernel();
-  s.cfg.job.ntasks = p.nodes * p.tasks_per_node;
-  s.cfg.job.tasks_per_node = p.tasks_per_node;
-  s.cfg.job.seed = p.seed;
-  s.cfg.use_coscheduler = prototype;
-  s.cfg.cosched = core::paper_cosched();
-
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-  s.factory = apps::aggregate_trace(at);
+  Scenario s = tools::trace_scenario(prototype, p.nodes, p.tasks_per_node,
+                                     p.calls, p.seed);
   return s;
 }
 

@@ -44,11 +44,10 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
 #include "check/check.hpp"
-#include "core/presets.hpp"
 #include "core/simulation.hpp"
 #include "scale/runner.hpp"
+#include "scenario.hpp"
 #include "util/flags.hpp"
 
 using namespace pasched;
@@ -68,31 +67,12 @@ struct Params {
   scale::ScaleOptions opts;
 };
 
-struct Scenario {
-  const char* name;
-  core::SimulationConfig cfg;
-  mpi::WorkloadFactory factory;
-};
+using Scenario = tools::TraceScenario;
 
 Scenario make_scenario(const Params& p, bool prototype) {
-  Scenario s;
-  s.name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-  s.cfg.cluster = cluster::presets::frost(p.nodes);
-  s.cfg.cluster.seed = p.seed;
-  s.cfg.cluster.node.tunables =
-      prototype ? core::prototype_kernel() : core::vanilla_kernel();
-  s.cfg.job.ntasks = p.nodes * p.tasks_per_node;
-  s.cfg.job.tasks_per_node = p.tasks_per_node;
-  s.cfg.job.seed = p.seed;
-  s.cfg.use_coscheduler = prototype;
-  s.cfg.cosched = core::paper_cosched();
+  Scenario s = tools::trace_scenario(prototype, p.nodes, p.tasks_per_node,
+                                     p.calls, p.seed);
   s.cfg.parallel = p.workers;
-
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-  s.factory = apps::aggregate_trace(at);
   return s;
 }
 
