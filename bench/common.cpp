@@ -10,6 +10,7 @@
 #include "apps/channels.hpp"
 #include "contend/ledger.hpp"
 #include "mpi/collectives.hpp"
+#include "net/fabric.hpp"
 #include "race/monitor.hpp"
 #include "scale/monitor.hpp"
 #include "sim/shard.hpp"
@@ -80,7 +81,7 @@ RunResult run_aggregate(const RunSpec& spec) {
     if (sh == nullptr)
       throw std::logic_error("RunSpec::profile_scale requires parallel >= 1");
     profiler = std::make_unique<scale::RunMonitor>(
-        scale::build_lookahead_matrix(cfg.cluster.fabric, cfg.cluster.nodes),
+        net::pair_lookahead(cfg.cluster.fabric, cfg.cluster.nodes),
         *sh);
     sh->set_monitor(profiler.get());
   }
@@ -124,15 +125,7 @@ RunResult run_aggregate(const RunSpec& spec) {
 #endif
     const contend::LedgerReport lrep = ledger->report();
     r.barrier_wait_share = lrep.barrier_wait_share;
-    std::uint64_t bwait = 0, bacq = 0;
-    for (const contend::SiteSummary& s : lrep.sites) {
-      if (s.kind != util::SeamKind::Barrier) continue;
-      bwait += s.wait_ns;
-      bacq += s.acquires;
-    }
-    if (bacq > 0)
-      r.measured_barrier_cost_ns =
-          2.0 * static_cast<double>(bwait) / static_cast<double>(bacq);
+    r.measured_barrier_cost_ns = lrep.round_barrier_cost_ns();
     for (const contend::SiteSummary& s : lrep.sites) {
       if (r.top_wait_sites.size() == 3) break;
       LedgerSiteRow row;

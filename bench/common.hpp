@@ -49,11 +49,11 @@ struct RunSpec {
   /// Global reproduces the legacy one-window-per-round schedule and is the
   /// denominator of micro_shard's n_windows reduction figure.
   pasched::sim::PlannerMode planner = pasched::sim::PlannerMode::PerPair;
-  /// Arms the pasched-race seam monitor + ownership sink on a partitioned
+  /// Arms the race auditor's seam monitor + ownership sink on a partitioned
   /// run (requires parallel >= 1). micro_shard uses it to price the
   /// full-audit mode against the bare annotation layer.
   bool audit = false;
-  /// Arms the pasched-scale window profiler + lookahead certifier (requires
+  /// Arms the scale window profiler + lookahead certifier (requires
   /// parallel >= 1; mutually exclusive with `audit` — one monitor slot).
   /// micro_shard runs one profiled pass to predict the speedup ceiling it
   /// prints next to the measured speedup.

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   modes.push_back(run_mode(spec, "legacy", 0));
   for (const int n : {1, 2, 4, 8})
     modes.push_back(run_mode(spec, "parallel" + std::to_string(n), n));
-  // Full pasched-race audit (seam monitor + ownership sink) on 4 workers:
+  // Full race audit (seam monitor + ownership sink) on 4 workers:
   // the delta against the bare parallel4 row prices the *dynamic* checker;
   // the annotation layer's own cost is the cross-build delta of this whole
   // file under -DPASCHED_VALIDATE=ON vs OFF (see "validate_enabled" below).
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   const double audit_overhead =
       par4.wall_ms > 0 ? audited.wall_ms / par4.wall_ms : 0.0;
 
-  // Separate profiled pass: the pasched-scale window profiler predicts the
+  // Separate profiled pass: the scale window profiler predicts the
   // speedup ceiling of this workload's conservative windows. Kept out of
   // the timed modes above so the monitor's bookkeeping never pollutes the
   // wall-clock columns; one worker suffices (windows are worker-invariant).

@@ -92,8 +92,8 @@ const std::vector<RuleInfo>& all_rules() {
        "the instantaneous wait-for graph over open receive-waits must stay "
        "acyclic",
        "§2 (cascading spin-wait cycles idle the whole job)"},
-      // Partitioned-core rules (PSL2xx): emitted by the pasched-race
-      // shard-ownership and determinism auditor (src/race/), not by the
+      // Partitioned-core rules (PSL2xx): emitted by pasched-audit's race leg
+      // (the shard-ownership and determinism auditor, src/race/), not by the
       // config linter or the trace analyzer.
       {"PSL201", Severity::Error,
        "shard-owned state (kernels, tasks, daemons, per-node trace buffers) "
@@ -114,9 +114,9 @@ const std::vector<RuleInfo>& all_rules() {
        "barrier-phase perturbation — divergence means an ordering accident, "
        "not a scheduling decision, shaped the observable history",
        "§5 (Fig. 3/5 claims depend on bit-identical parallel execution)"},
-      // Scalability rules (PSL3xx): emitted by the pasched-scale static
-      // scalability analyzer (src/scale/) — the lookahead oracle, the
-      // work/span critical path, and the window/barrier cost model.
+      // Scalability rules (PSL3xx): emitted by pasched-audit's scale leg
+      // (src/scale/) — the lookahead certificate, the work/span critical
+      // path, and the window/barrier cost model.
       {"PSL301", Severity::Warning,
        "the single global lookahead should not collapse far below the "
        "pairwise median of the per-shard-pair lookahead matrix — the gap is "
@@ -157,7 +157,7 @@ const std::vector<RuleInfo>& all_rules() {
        "every shard-resident type (cluster::Node, kern::Kernel, mpi::Job/"
        "Task, daemon and trace state) carries a race::Owned tag, and its "
        "mutable fields are atomic or ownership-guarded — otherwise "
-       "pasched-race cannot witness a cross-shard mutation",
+       "the race auditor cannot witness a cross-shard mutation",
        "§3.2 (per-node state must stay per-node when nodes run in parallel)"},
       {"PSL403", Severity::Error,
        "a PASCHED_HOT function performs no heap allocation, locking, throw, "

@@ -128,35 +128,55 @@ LedgerReport Ledger::report() const {
 std::vector<analysis::Diagnostic> Ledger::check_claims(
     const std::vector<SerializationClaim>& claims) const {
   std::vector<analysis::Diagnostic> out;
-  const int n = util::seam_site_count();
+  const int n = std::min(util::seam_site_count(), util::kMaxSeamSites);
   for (const SerializationClaim& c : claims) {
-    for (int i = 0; i < n && i < util::kMaxSeamSites; ++i) {
-      if (c.site != util::seam_site_name(i)) continue;
-      const Slot& s = slot(i);
-      if (s.acquires.load(std::memory_order_relaxed) == 0) break;
-      const int domains =
-          popcount64(s.domain_mask.load(std::memory_order_relaxed));
-      if (domains >= 2) {
-        analysis::Diagnostic d;
-        d.rule = "PSL506";
-        d.severity = analysis::Severity::Error;
-        d.subject = c.file + ":" + std::to_string(c.line);
-        d.message = "serialization claim refuted: site `" + c.site +
-                    "` was statically claimed single-domain (PSL505) but "
-                    "the contention ledger observed " +
-                    std::to_string(domains) +
-                    " distinct race::Domains acquiring it at runtime";
-        d.fix_hint =
-            "the mutex really is a cross-domain serialization point: keep "
-            "it, drop the srclint-ok(PSL505) narrowing, and rank it via the "
-            "ledger instead; or narrow the guarded state so only its owner "
-            "domain touches it";
-        out.push_back(std::move(d));
-      }
-      break;
+    int site = 0;
+    while (site < n && c.site != util::seam_site_name(site)) ++site;
+    analysis::Diagnostic d;
+    d.rule = "PSL506";
+    d.severity = analysis::Severity::Error;
+    d.subject = c.file + ":" + std::to_string(c.line);
+    if (site == n) {
+      d.message = "serialization claim names site `" + c.site +
+                  "`, which no seam ever registered; the ledger cannot "
+                  "check it";
+      d.fix_hint =
+          "name the claim after a registered seam site (\"Class.member\", "
+          "as passed to util::register_seam_site), or drop the stale "
+          "srclint-ok(PSL505) narrowing";
+      out.push_back(std::move(d));
+      continue;
     }
+    const Slot& s = slot(site);
+    if (s.acquires.load(std::memory_order_relaxed) == 0) continue;
+    const int domains =
+        popcount64(s.domain_mask.load(std::memory_order_relaxed));
+    if (domains < 2) continue;
+    d.message = "serialization claim refuted: site `" + c.site +
+                "` was statically claimed single-domain (PSL505) but "
+                "the contention ledger observed " +
+                std::to_string(domains) +
+                " distinct race::Domains acquiring it at runtime";
+    d.fix_hint =
+        "the mutex really is a cross-domain serialization point: keep "
+        "it, drop the srclint-ok(PSL505) narrowing, and rank it via the "
+        "ledger instead; or narrow the guarded state so only its owner "
+        "domain touches it";
+    out.push_back(std::move(d));
   }
   return out;
+}
+
+double LedgerReport::round_barrier_cost_ns() const {
+  std::uint64_t wait_ns = 0;
+  std::uint64_t crossings = 0;
+  for (const SiteSummary& s : sites) {
+    if (s.kind != util::SeamKind::Barrier) continue;
+    wait_ns += s.wait_ns;
+    crossings += s.acquires;
+  }
+  if (crossings == 0) return -1.0;
+  return 2.0 * static_cast<double>(wait_ns) / static_cast<double>(crossings);
 }
 
 std::string LedgerReport::str() const {

@@ -55,6 +55,11 @@ struct LedgerReport {
   std::uint64_t total_wait_ns = 0;
   double barrier_wait_share = 0;   // barrier wait / total recorded wait
 
+  /// Per-round barrier cost: the average wait per arrive_and_wait crossing
+  /// over every barrier site, times the window protocol's two crossings per
+  /// sync round. < 0 when no barrier was crossed (nothing to measure).
+  [[nodiscard]] double round_barrier_cost_ns() const;
+
   [[nodiscard]] std::string str() const;
   /// The report as a JSON object (no schema header — the tool wraps it).
   [[nodiscard]] std::string json(int indent) const;
@@ -81,7 +86,9 @@ class Ledger final : public util::SeamObserver {
 
   /// The certify-then-verify join: every claim whose site the ledger saw
   /// acquired from two or more distinct domains is refuted with a PSL506
-  /// ERROR. Unobserved sites produce nothing (no run touched them).
+  /// ERROR. A registered site no run touched produces nothing; a claim on a
+  /// site no one ever registered is itself a PSL506 ERROR (a stale claim
+  /// would otherwise pass forever, unchecked).
   [[nodiscard]] std::vector<analysis::Diagnostic> check_claims(
       const std::vector<SerializationClaim>& claims) const;
 

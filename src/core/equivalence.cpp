@@ -1,39 +1,8 @@
 #include "core/equivalence.hpp"
 
-#include <string>
-
 #include "trace/trace.hpp"
 
 namespace pasched::core {
-
-namespace {
-
-// FNV-1a, matching the hasher style of tools/pasched_audit.
-class Hasher {
- public:
-  void mix(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(std::int64_t v) noexcept {
-    mix(static_cast<std::uint64_t>(v));
-  }
-  void mix_str(const std::string& s) noexcept {
-    for (const char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= 0x100000001b3ULL;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-}  // namespace
 
 CanonicalDigest run_canonical(const SimulationConfig& cfg,
                               const mpi::WorkloadFactory& factory) {
@@ -59,6 +28,8 @@ CanonicalDigest run_canonical(const SimulationConfig& cfg,
   d.completed = res.completed;
   d.elapsed = res.elapsed;
   d.events = res.events;
+  if (sim.sharded() != nullptr)
+    d.sync_rounds = sim.sharded()->planner_stats().rounds;
 
   const sim::Time tc =
       res.completed ? sim.job().completion_time() : sim::Time::max();

@@ -43,11 +43,11 @@ struct SimulationConfig {
   /// bit for bit. Incompatible with fabric link_bandwidth contention.
   int parallel = 0;
   /// Window planner for partitioned runs. PerPair (default) consumes the
-  /// per-pair guaranteed-lookahead matrix (the runtime side of
-  /// pasched-scale's certificate, derived here from the fabric config) and
-  /// chains `window_batch` windows per global synchronization; Global
-  /// reproduces the legacy one-window-per-barrier schedule. Both must be
-  /// bit-identical — the audit gate compares their digests.
+  /// per-pair guaranteed-lookahead matrix (net::pair_lookahead of the
+  /// fabric config) and chains `window_batch` windows per global
+  /// synchronization; Global reproduces the legacy one-window-per-barrier
+  /// schedule. Both must be bit-identical — the audit gate compares their
+  /// digests.
   sim::PlannerMode planner = sim::PlannerMode::PerPair;
   int window_batch = sim::kDefaultWindowBatch;
   /// Pin shard workers to cores when the host has enough of them.
@@ -81,7 +81,7 @@ class Simulation {
   /// Shard 0's engine (the only engine in classic mode).
   [[nodiscard]] sim::Engine& engine() noexcept { return cluster_->engine(); }
   /// The partitioned executor (nullptr in classic mode) — the attachment
-  /// point for pasched-race's seam monitor and window-perturbation source.
+  /// point for the race auditor's seam monitor and window-perturbation source.
   [[nodiscard]] sim::ShardedEngine* sharded() noexcept {
     return sharded_.get();
   }

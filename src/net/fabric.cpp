@@ -36,6 +36,19 @@ Duration guaranteed_lookahead_between(const FabricConfig& cfg, int a, int b) {
   return jitter_floor(min_latency_between(cfg, a, b), cfg.jitter_frac);
 }
 
+sim::PairLookahead pair_lookahead(const FabricConfig& cfg, int nodes) {
+  PASCHED_EXPECTS(nodes >= 1);
+  sim::PairLookahead la =
+      sim::PairLookahead::uniform(nodes > 1 ? nodes + 1 : 1,
+                                  guaranteed_lookahead(cfg));
+  const int hub = la.hub_shard();
+  for (int a = 0; a < la.shards; ++a)
+    for (int b = 0; b < la.shards; ++b)
+      if (a != b && a != hub && b != hub)
+        la.set(a, b, guaranteed_lookahead_between(cfg, a, b));
+  return la;
+}
+
 namespace {
 void check_config(const FabricConfig& cfg) {
   PASCHED_EXPECTS(cfg.inter_node_latency > Duration::zero());

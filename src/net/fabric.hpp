@@ -17,6 +17,7 @@
 #include "kern/types.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
+#include "sim/planner.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -43,7 +44,7 @@ struct FabricConfig {
   /// frames pays `inter_frame_extra` on top of inter_node_latency (the
   /// intermediate-switch-board hop of a multi-frame SP system). 0 keeps the
   /// flat single-switch fabric — the default, and what every shipped preset
-  /// uses. The per-shard-pair lookahead matrix (src/scale/) turns this
+  /// uses. The per-shard-pair lookahead matrix (pair_lookahead) turns this
   /// structure into pairwise bounds; the single global guaranteed_lookahead
   /// stays pinned to the intra-frame minimum.
   int frame_size = 0;
@@ -73,10 +74,20 @@ struct FabricConfig {
 /// Per-pair guaranteed lookahead: min_latency_between shrunk by the same
 /// worst-case jitter draw (and truncation slack) as guaranteed_lookahead.
 /// Always >= guaranteed_lookahead(cfg) — the global bound is the matrix
-/// minimum, which is exactly the headroom the per-pair certificate
-/// (src/scale/lookahead.hpp) quantifies.
+/// minimum, which is exactly the headroom the per-pair matrix quantifies.
 [[nodiscard]] sim::Duration guaranteed_lookahead_between(
     const FabricConfig& cfg, int a, int b);
+
+/// The per-shard-pair lookahead matrix for `nodes` nodes of `cfg`, in
+/// sim::ShardedEngine's shard numbering (node shards 0..nodes-1, then the
+/// switch hub; a single node collapses to one shard with no pairs). Node
+/// pairs get guaranteed_lookahead_between; hub pairs get the global floor,
+/// since hub traffic always pays at least one un-jittered inter-node wire.
+/// The matrix is built only here: core::Simulation installs it in the window
+/// planner and scale::RunMonitor certifies every cross-shard delivery
+/// against it.
+[[nodiscard]] sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
+                                                int nodes);
 
 struct FabricStats {
   std::uint64_t messages = 0;

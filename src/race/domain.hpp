@@ -15,7 +15,7 @@
 // (the engine's Slot::held follows the same rule).
 //
 // Violations either throw check::CheckError (the hard enforcement mode used
-// by tests and CI) or, when a ViolationSink is installed (pasched-race's
+// by tests and CI) or, when a ViolationSink is installed (pasched-audit's race leg's
 // Monitor), are recorded as PSL2xx diagnostics with shard/object/epoch
 // attribution and the run continues — an auditing run wants the full list,
 // not the first hit.

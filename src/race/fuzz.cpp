@@ -45,7 +45,7 @@ AuditRun run_audited(const core::SimulationConfig& cfg,
   out.digest = core::run_canonical(c, factory, [&](core::Simulation& sim) {
     sim::ShardedEngine* sh = sim.sharded();
     PASCHED_EXPECTS_MSG(sh != nullptr,
-                        "pasched-race requires partitioned execution");
+                        "the race auditor requires partitioned execution");
     monitor = std::make_unique<Monitor>(sh->partitions());
     sh->set_monitor(monitor.get());
     if (opt.window_choice != nullptr)
@@ -115,7 +115,7 @@ FuzzResult fuzz_windows(const core::SimulationConfig& cfg,
         << " recorded window choices";
     d.message = msg.str();
     d.fix_hint =
-        "replay the recorded schedule with pasched-race --replay to "
+        "replay the recorded schedule with pasched-audit --replay to "
         "reproduce, then look for state crossing shards outside the router";
     out.findings.push_back(std::move(d));
   }

@@ -1,4 +1,4 @@
-// The pasched-race run drivers: an audited single run (annotation layer +
+// The race auditor's entry points: an audited single run (annotation layer +
 // vector-clock monitor attached to the partitioned executor) and the
 // window-perturbation fuzz loop that shrinks conservative windows toward the
 // legal minimum via the model checker's ChoiceSource seam. Every perturbed

@@ -1,4 +1,4 @@
-// The dynamic half of pasched-race: a FastTrack-style vector-clock checker
+// The dynamic half of the race auditor: a FastTrack-style vector-clock checker
 // hung on the sharded engine's cross-shard seams (router posts, inbox
 // drains, window begins, barrier plans) plus the ViolationSink that turns
 // ownership breaches from the annotation layer (race/domain.hpp) into

@@ -1,92 +1,50 @@
 #include "scale/lookahead.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
-
-#include "util/assert.hpp"
+#include <vector>
 
 namespace pasched::scale {
 
 using sim::Duration;
 
-namespace {
-
-std::vector<std::int64_t> off_diagonal_ns(const LookaheadMatrix& m) {
+PairSpread pair_spread(const sim::PairLookahead& la) {
   std::vector<std::int64_t> v;
-  v.reserve(static_cast<std::size_t>(m.shards) *
-            static_cast<std::size_t>(m.shards));
-  for (int a = 0; a < m.shards; ++a)
-    for (int b = 0; b < m.shards; ++b)
-      if (a != b) v.push_back(m.at(a, b).count());
+  v.reserve(la.bounds.size());
+  for (int a = 0; a < la.shards; ++a)
+    for (int b = 0; b < la.shards; ++b)
+      if (a != b) v.push_back(la.at(a, b).count());
+  PairSpread s;
+  if (v.empty()) return s;
   std::sort(v.begin(), v.end());
-  return v;
+  s.min = Duration::ns(v.front());
+  s.median = Duration::ns(v[v.size() / 2]);
+  s.max = Duration::ns(v.back());
+  return s;
 }
 
-}  // namespace
-
-Duration LookaheadMatrix::min_pair() const {
-  const auto v = off_diagonal_ns(*this);
-  return v.empty() ? Duration::zero() : Duration::ns(v.front());
-}
-
-Duration LookaheadMatrix::median_pair() const {
-  const auto v = off_diagonal_ns(*this);
-  return v.empty() ? Duration::zero() : Duration::ns(v[v.size() / 2]);
-}
-
-Duration LookaheadMatrix::max_pair() const {
-  const auto v = off_diagonal_ns(*this);
-  return v.empty() ? Duration::zero() : Duration::ns(v.back());
-}
-
-std::string LookaheadMatrix::certificate_json() const {
+std::string certificate_json(const sim::PairLookahead& la) {
+  const PairSpread spread = pair_spread(la);
   std::ostringstream os;
   os << "{\n"
-     << "  \"certificate\": \"pasched-scale lookahead matrix v1\",\n"
-     << "  \"nodes\": " << nodes << ",\n"
-     << "  \"shards\": " << shards << ",\n"
-     << "  \"hub_shard\": " << hub_shard << ",\n"
-     << "  \"global_lookahead_ns\": " << global.count() << ",\n"
-     << "  \"min_pair_ns\": " << min_pair().count() << ",\n"
-     << "  \"median_pair_ns\": " << median_pair().count() << ",\n"
-     << "  \"max_pair_ns\": " << max_pair().count() << ",\n"
+     << "  \"certificate\": \"pasched lookahead matrix v1\",\n"
+     << "  \"nodes\": " << (la.has_pairs() ? la.shards - 1 : 1) << ",\n"
+     << "  \"shards\": " << la.shards << ",\n"
+     << "  \"hub_shard\": " << la.hub_shard() << ",\n"
+     << "  \"global_lookahead_ns\": " << la.global.count() << ",\n"
+     << "  \"min_pair_ns\": " << spread.min.count() << ",\n"
+     << "  \"median_pair_ns\": " << spread.median.count() << ",\n"
+     << "  \"max_pair_ns\": " << spread.max.count() << ",\n"
      << "  \"bounds_ns\": [\n";
-  for (int a = 0; a < shards; ++a) {
+  for (int a = 0; a < la.shards; ++a) {
     os << "    [";
-    for (int b = 0; b < shards; ++b)
-      os << at(a, b).count() << (b + 1 < shards ? ", " : "");
-    os << "]" << (a + 1 < shards ? "," : "") << "\n";
+    for (int b = 0; b < la.shards; ++b)
+      os << la.at(a, b).count() << (b + 1 < la.shards ? ", " : "");
+    os << "]" << (a + 1 < la.shards ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return os.str();
-}
-
-LookaheadMatrix build_lookahead_matrix(const net::FabricConfig& cfg,
-                                       int nodes) {
-  PASCHED_EXPECTS(nodes >= 1);
-  LookaheadMatrix m;
-  m.nodes = nodes;
-  // Mirror ShardedEngine's partitioning: single-node clusters keep the hub
-  // on the lone shard; multi-node clusters add a hub shard after the nodes.
-  m.shards = nodes > 1 ? nodes + 1 : 1;
-  m.hub_shard = nodes > 1 ? nodes : 0;
-  m.global = net::guaranteed_lookahead(cfg);
-  m.bounds.assign(static_cast<std::size_t>(m.shards) *
-                      static_cast<std::size_t>(m.shards),
-                  sim::Duration::zero());
-  for (int a = 0; a < m.shards; ++a) {
-    for (int b = 0; b < m.shards; ++b) {
-      if (a == b) continue;
-      const bool hub_pair = a == m.hub_shard || b == m.hub_shard;
-      // Hub traffic pays at least one un-jittered inter-node wire in each
-      // direction (mpi::Job's hardware-collective flow), so the global
-      // jitter-adjusted floor is a sound — if slightly conservative —
-      // claim. Node-node pairs get the topology-aware per-link bound.
-      m.set(a, b, hub_pair ? m.global
-                           : net::guaranteed_lookahead_between(cfg, a, b));
-    }
-  }
-  return m;
 }
 
 }  // namespace pasched::scale

@@ -1,70 +1,32 @@
-// The per-shard-pair lookahead oracle: the static half of pasched-scale.
+// The lookahead certificate: summary statistics and the machine-readable
+// JSON form of the per-shard-pair lookahead matrix (net::pair_lookahead).
 //
-// The conservative executor (sim/shard.hpp) synchronizes every shard on ONE
-// global bound, net::guaranteed_lookahead — the minimum cross-node latency
-// of the whole fabric. But the causality argument is pairwise: a message
+// The conservative executor's causality argument is pairwise: a message
 // from shard a to shard b cannot arrive earlier than the minimum latency of
-// the (a, b) link. This module computes the full per-pair guaranteed-
-// lookahead matrix from the fabric topology alone (no simulation), compares
-// it against the global bound, and emits a machine-readable certificate for
-// a PARSIR-style per-pair window planner to consume. The claims are only
-// claims until certified: scale::RunMonitor re-checks every actual
-// cross-shard delivery against this matrix at runtime (PSL303 on
-// violation).
+// the (a, b) link. The matrix is built once from the fabric topology and
+// feeds both the window planner (core::Simulation) and the runtime
+// certifier (scale::RunMonitor, PSL303 on any delivery that undercuts it);
+// this module only describes it.
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "net/fabric.hpp"
+#include "sim/planner.hpp"
 #include "sim/time.hpp"
 
 namespace pasched::scale {
 
-/// Per-shard-pair guaranteed lookahead bounds, in the sharded engine's own
-/// shard numbering: shards 0..nodes-1 are the node shards, shard `nodes` is
-/// the switch hub (single-node clusters collapse to one shard and have no
-/// pairs). The diagonal is zero — same-shard scheduling needs no lookahead.
-struct LookaheadMatrix {
-  int nodes = 0;
-  int shards = 0;
-  int hub_shard = 0;
-  /// The single global bound the ShardedEngine uses today
-  /// (net::guaranteed_lookahead of the same fabric).
-  sim::Duration global = sim::Duration::zero();
-  /// Row-major shards x shards claimed bounds.
-  std::vector<sim::Duration> bounds;
-
-  [[nodiscard]] sim::Duration at(int a, int b) const {
-    return bounds[static_cast<std::size_t>(a) *
-                      static_cast<std::size_t>(shards) +
-                  static_cast<std::size_t>(b)];
-  }
-  void set(int a, int b, sim::Duration d) {
-    bounds[static_cast<std::size_t>(a) * static_cast<std::size_t>(shards) +
-           static_cast<std::size_t>(b)] = d;
-  }
-
-  [[nodiscard]] bool has_pairs() const noexcept { return shards > 1; }
-  /// Min / median / max over the off-diagonal pairs.
-  [[nodiscard]] sim::Duration min_pair() const;
-  [[nodiscard]] sim::Duration median_pair() const;
-  [[nodiscard]] sim::Duration max_pair() const;
-
-  /// The machine-readable certificate (JSON): shard numbering, the global
-  /// bound, and the full pairwise matrix in nanoseconds. This is the
-  /// contract a per-pair window planner consumes; RunMonitor certifies it
-  /// against actual deliveries.
-  [[nodiscard]] std::string certificate_json() const;
+/// Min / median / max over the off-diagonal pairs (all zero with no pairs).
+struct PairSpread {
+  sim::Duration min = sim::Duration::zero();
+  sim::Duration median = sim::Duration::zero();
+  sim::Duration max = sim::Duration::zero();
 };
 
-/// Builds the matrix for `nodes` nodes of fabric `cfg`, statically:
-/// node-node pairs get the jitter-adjusted minimum latency of their link
-/// (net::guaranteed_lookahead_between — frame topology aware); pairs
-/// involving the hub are certified at the global floor, since hub traffic
-/// (hardware-collective contributions and broadcasts) always pays at least
-/// one un-jittered inter-node wire.
-[[nodiscard]] LookaheadMatrix build_lookahead_matrix(
-    const net::FabricConfig& cfg, int nodes);
+[[nodiscard]] PairSpread pair_spread(const sim::PairLookahead& la);
+
+/// The certificate (JSON): shard numbering, the global bound, the pair
+/// spread, and the full pairwise matrix in nanoseconds.
+[[nodiscard]] std::string certificate_json(const sim::PairLookahead& la);
 
 }  // namespace pasched::scale

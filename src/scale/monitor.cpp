@@ -15,55 +15,25 @@ namespace {
 constexpr std::size_t kMaxDetailedFindings = 16;
 }  // namespace
 
-RunMonitor::RunMonitor(LookaheadMatrix matrix, sim::ShardedEngine& engine)
-    : matrix_(std::move(matrix)), engine_(engine) {
-  PASCHED_EXPECTS_MSG(matrix_.shards == engine.partitions(),
+RunMonitor::RunMonitor(sim::PairLookahead claims, sim::ShardedEngine& engine)
+    : claims_(std::move(claims)), engine_(engine) {
+  PASCHED_EXPECTS_MSG(claims_.shards == engine.partitions(),
                       "lookahead matrix shard count disagrees with the "
                       "engine partitioning");
-  stats_.shards = matrix_.shards;
-  stats_.hub_shard = matrix_.hub_shard;
-  stats_.per_shard.assign(static_cast<std::size_t>(matrix_.shards), 0);
+  stats_.shards = claims_.shards;
+  stats_.hub_shard = claims_.hub_shard();
+  stats_.per_shard.assign(static_cast<std::size_t>(claims_.shards), 0);
   // Baseline from the engine's current counters, so a monitor installed on
   // an engine that already ran attributes only what happens from now on.
-  last_counts_.resize(static_cast<std::size_t>(matrix_.shards));
-  for (int i = 0; i < matrix_.shards; ++i)
+  last_counts_.resize(static_cast<std::size_t>(claims_.shards));
+  for (int i = 0; i < claims_.shards; ++i)
     last_counts_[static_cast<std::size_t>(i)] =
         engine_.engine_of(i).events_processed();
-  // Install-time certificate consumption check: the planner's installed
-  // pair bounds are what post() stamps and the window chain assumes, so an
-  // installed bound *larger* than the certified claim means the executor
-  // runs on optimism the certificate never granted — unsound before a
-  // single event fires. (Smaller is fine: the executor merely forfeits
-  // window width; the plant mode's inflated claims land here.)
-  for (int a = 0; a < matrix_.shards; ++a) {
-    for (int b = 0; b < matrix_.shards; ++b) {
-      if (a == b) continue;
-      const Duration installed = engine_.pair_lookahead(a, b);
-      const Duration claimed = matrix_.at(a, b);
-      if (installed <= claimed) continue;
-      ++violations_;
-      if (findings_.size() >= kMaxDetailedFindings) continue;
-      analysis::Diagnostic d;
-      d.rule = "PSL303";
-      d.severity = analysis::Severity::Error;
-      d.subject = "pair(" + std::to_string(a) + "->" + std::to_string(b) +
-                  ") install";
-      d.message = "executor installed pair lookahead " + installed.str() +
-                  " exceeds the certified claim " + claimed.str() +
-                  "; the window planner consumes a bound the static "
-                  "certificate never granted";
-      d.fix_hint =
-          "rebuild the engine's PairLookahead from the same fabric "
-          "derivation the certificate uses (core::Simulation mirrors "
-          "scale::build_lookahead_matrix)";
-      findings_.push_back(std::move(d));
-    }
-  }
 }
 
 void RunMonitor::on_post(int src_shard, int dst_shard, Time t, Time sent_at,
                          std::uint64_t src_seq) {
-  const Duration claimed = matrix_.at(src_shard, dst_shard);
+  const Duration claimed = claims_.at(src_shard, dst_shard);
   const Duration slack = (t - sent_at) - claimed;
   const std::scoped_lock lk(mu_);
   ++posts_;

@@ -1,7 +1,7 @@
 // The runtime half of the lookahead certificate: a sim::ShardMonitor that
-// (a) checks every cross-shard post against the static per-pair lookahead
-// matrix — a delivery earlier than send time + matrix[src][dst] means the
-// certificate is unsound and becomes a PSL303 ERROR — and (b) profiles the
+// (a) checks every cross-shard post against the per-pair lookahead matrix —
+// a delivery earlier than send time + matrix[src][dst] means the claimed
+// bound is unsound and becomes a PSL303 ERROR — and (b) profiles the
 // conservative windows (per-shard event deltas sampled at the plan barrier,
 // where every worker is parked) into the WindowStats the barrier-cost model
 // consumes.
@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "scale/lookahead.hpp"
 #include "scale/windows.hpp"
+#include "sim/planner.hpp"
 #include "sim/shard.hpp"
 #include "sim/time.hpp"
 
@@ -27,11 +27,11 @@ namespace pasched::scale {
 
 class RunMonitor final : public sim::ShardMonitor {
  public:
-  /// `matrix` is copied: the claims being certified must not change under
-  /// the run (the pasched-scale --plant-unsound-bound mode hands in a
-  /// deliberately inflated copy). `engine` is the executor being profiled;
+  /// `claims` is copied: the bounds being certified must not change under
+  /// the run (pasched-audit --plant hands in a deliberately inflated copy
+  /// of net::pair_lookahead). `engine` is the executor being profiled;
   /// install with engine.set_monitor(&monitor) before running.
-  RunMonitor(LookaheadMatrix matrix, sim::ShardedEngine& engine);
+  RunMonitor(sim::PairLookahead claims, sim::ShardedEngine& engine);
 
   // sim::ShardMonitor --------------------------------------------------------
   void on_post(int src_shard, int dst_shard, sim::Time t, sim::Time sent_at,
@@ -50,9 +50,6 @@ class RunMonitor final : public sim::ShardMonitor {
   [[nodiscard]] const WindowStats& windows() const noexcept {
     return stats_;
   }
-  [[nodiscard]] const LookaheadMatrix& matrix() const noexcept {
-    return matrix_;
-  }
   /// PSL303 findings, capped at 16 with a summarizing tail entry.
   [[nodiscard]] std::vector<analysis::Diagnostic> soundness_findings() const;
   [[nodiscard]] std::uint64_t posts_checked() const;
@@ -65,7 +62,7 @@ class RunMonitor final : public sim::ShardMonitor {
  private:
   void sample_window();
 
-  LookaheadMatrix matrix_;
+  sim::PairLookahead claims_;
   sim::ShardedEngine& engine_;
 
   // Window profile: touched only at the plan barrier / after the run.

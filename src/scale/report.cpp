@@ -29,7 +29,7 @@ std::vector<Diagnostic> ScaleReport::diagnostics() const {
   std::vector<Diagnostic> out = soundness;  // PSL303 first: certificate truth
 
   if (matrix.has_pairs()) {
-    const auto median = matrix.median_pair();
+    const sim::Duration median = pair_spread(matrix).median;
     if (static_cast<double>(matrix.global.count()) * options.collapse_ratio <=
         static_cast<double>(median.count())) {
       Diagnostic d;
@@ -130,15 +130,16 @@ std::vector<Diagnostic> ScaleReport::diagnostics() const {
 
 std::string ScaleReport::str() const {
   std::ostringstream os;
-  os << "pasched-scale report: " << scenario << "\n";
+  os << "scale report: " << scenario << "\n";
   os << "  run: " << (completed ? "completed" : "DID NOT COMPLETE")
      << ", elapsed " << elapsed.str() << ", events " << events
      << " (at completion " << events_at_completion << ")\n";
 
   os << "  lookahead: global " << matrix.global.str();
   if (matrix.has_pairs()) {
-    os << ", pairs min " << matrix.min_pair().str() << " / median "
-       << matrix.median_pair().str() << " / max " << matrix.max_pair().str();
+    const PairSpread spread = pair_spread(matrix);
+    os << ", pairs min " << spread.min.str() << " / median "
+       << spread.median.str() << " / max " << spread.max.str();
   } else {
     os << ", single shard (no pairs)";
   }
@@ -185,8 +186,7 @@ std::string ScaleReport::str() const {
 
 std::string ScaleReport::json() const {
   std::ostringstream os;
-  os << "{\n  " << analysis::json_report_header("pasched-scale") << "\n"
-     << "  \"scenario\": \"" << scenario << "\",\n"
+  os << "{\n  \"scenario\": \"" << scenario << "\",\n"
      << "  \"completed\": " << (completed ? "true" : "false") << ",\n"
      << "  \"elapsed_ns\": " << elapsed.count() << ",\n"
      << "  \"events\": " << events << ",\n"
@@ -235,7 +235,7 @@ std::string ScaleReport::json() const {
 
   // Embed the matrix certificate, indented two spaces to nest cleanly.
   os << "  \"certificate\": ";
-  const std::string cert = matrix.certificate_json();
+  const std::string cert = certificate_json(matrix);
   for (std::size_t i = 0; i < cert.size(); ++i) {
     os << cert[i];
     if (cert[i] == '\n' && i + 1 < cert.size()) os << "  ";

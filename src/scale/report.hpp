@@ -1,8 +1,8 @@
-// The pasched-scale report: everything the static lookahead oracle, the
-// runtime soundness certifier, the work/span pass, and the window profiler
-// learned about one scenario, plus the PSL301–306 rules that turn the
-// numbers into findings. Rule IDs, severities, and paper references live in
-// analysis/diagnostic.hpp; DESIGN.md §5.6 renders the same table.
+// The scale report: everything the lookahead matrix, the runtime soundness
+// certifier, the work/span pass, and the window profiler learned about one
+// scenario, plus the PSL301–306 rules that turn the numbers into findings.
+// Rule IDs, severities, and paper references live in
+// analysis/diagnostic.hpp; DESIGN.md §5.3 renders the same table.
 #pragma once
 
 #include <cstdint>
@@ -31,20 +31,14 @@ struct ScaleOptions {
   /// this.
   double hub_share_threshold = 0.25;
   SpeedupModel model;
-  /// Window planner the analyzed executor runs. PerPair is what ships;
-  /// Global reproduces the legacy one-window-per-round schedule and is the
-  /// denominator for the n_windows scalability smoke in CI.
-  sim::PlannerMode planner = sim::PlannerMode::PerPair;
-  /// Chained windows per sync round (PerPair only).
-  int window_batch = sim::kDefaultWindowBatch;
 };
 
 struct ScaleReport {
   std::string scenario;
   ScaleOptions options;
 
-  // Static half.
-  LookaheadMatrix matrix;
+  // The certified claims (net::pair_lookahead, or a planted copy).
+  sim::PairLookahead matrix;
 
   // Runtime certification.
   std::uint64_t posts_checked = 0;
@@ -92,7 +86,8 @@ struct ScaleReport {
   [[nodiscard]] std::vector<analysis::Diagnostic> diagnostics() const;
   /// Human-readable report.
   [[nodiscard]] std::string str() const;
-  /// Machine-readable report (JSON), embedding the matrix certificate.
+  /// Machine-readable report (a JSON object embedding the matrix
+  /// certificate; no schema header — the tool wraps it).
   [[nodiscard]] std::string json() const;
 };
 

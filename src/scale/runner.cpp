@@ -5,6 +5,7 @@
 
 #include "analysis/hb.hpp"
 #include "contend/ledger.hpp"
+#include "net/fabric.hpp"
 #include "scale/monitor.hpp"
 #include "scale/workspan.hpp"
 #include "trace/trace.hpp"
@@ -13,34 +14,13 @@
 
 namespace pasched::scale {
 
-namespace {
-
-/// Per-round barrier cost measured by the contention ledger: the average
-/// wait a worker paid per arrive_and_wait crossing, times the window
-/// protocol's two crossings per sync round. Returns < 0 when the run
-/// recorded no barrier crossing (nothing to measure).
-[[nodiscard]] double measured_barrier_cost_ns(
-    const contend::LedgerReport& lrep) {
-  std::uint64_t wait_ns = 0;
-  std::uint64_t acquires = 0;
-  for (const contend::SiteSummary& s : lrep.sites) {
-    if (s.kind != util::SeamKind::Barrier) continue;
-    wait_ns += s.wait_ns;
-    acquires += s.acquires;
-  }
-  if (acquires == 0) return -1.0;
-  return 2.0 * static_cast<double>(wait_ns) / static_cast<double>(acquires);
-}
-
-}  // namespace
-
 ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
                              const mpi::WorkloadFactory& factory,
                              std::string scenario_name,
                              const ScaleOptions& opts,
-                             const LookaheadMatrix* planted) {
+                             const sim::PairLookahead* planted) {
   PASCHED_EXPECTS_MSG(cfg.parallel >= 1,
-                      "pasched-scale needs the partitioned executor "
+                      "the scale analysis needs the partitioned executor "
                       "(cfg.parallel >= 1)");
 
   ScaleReport rep;
@@ -48,8 +28,7 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   rep.options = opts;
   rep.matrix = planted != nullptr
                    ? *planted
-                   : build_lookahead_matrix(cfg.cluster.fabric,
-                                            cfg.cluster.nodes);
+                   : net::pair_lookahead(cfg.cluster.fabric, cfg.cluster.nodes);
 
   core::Simulation sim(cfg, factory);
 
@@ -64,7 +43,6 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   tracer.enable(sim.engine().now());
 
   PASCHED_EXPECTS(sim.sharded() != nullptr);
-  sim.sharded()->set_planner(opts.planner, opts.window_batch);
   RunMonitor monitor(rep.matrix, *sim.sharded());
   sim.sharded()->set_monitor(&monitor);
 
@@ -85,7 +63,7 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   monitor.finalize();
   if (ledger_installed) {
     util::install_seam_observer(nullptr);
-    const double measured = measured_barrier_cost_ns(ledger.report());
+    const double measured = ledger.report().round_barrier_cost_ns();
     if (measured >= 0.0) {
       rep.options.model.barrier_cost_ns = measured;
       rep.barrier_cost_source = "measured";

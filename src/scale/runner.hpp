@@ -1,9 +1,8 @@
-// One-call pasched-scale analysis: build the static lookahead certificate
-// for a scenario's fabric, run the scenario once under the partitioned
-// executor with the RunMonitor certifying every cross-shard delivery and
-// profiling the windows, then run the work/span critical-path DP over the
-// traced happens-before graph. The result carries everything PSL301–306
-// judge.
+// One-call scale analysis: run a scenario once under the partitioned
+// executor with the RunMonitor certifying every cross-shard delivery
+// against the fabric's lookahead matrix and profiling the windows, then run
+// the work/span critical-path DP over the traced happens-before graph. The
+// result carries everything PSL301–306 judge.
 #pragma once
 
 #include <string>
@@ -18,13 +17,12 @@ namespace pasched::scale {
 /// and the soundness seam only exist on the partitioned executor; one
 /// worker is enough — the windows are worker-count invariant).
 ///
-/// `planted` optionally overrides the certificate the RunMonitor checks
-/// (and the matrix recorded in the report) — pasched-scale's
-/// --plant-unsound-bound mode hands in a deliberately inflated copy to
-/// prove PSL303 catches unsound claims.
+/// `planted` optionally overrides the claims the RunMonitor checks (and the
+/// matrix recorded in the report) — pasched-audit --plant hands in a
+/// deliberately inflated copy to prove PSL303 catches unsound claims.
 [[nodiscard]] ScaleReport analyze_scenario(
     const core::SimulationConfig& cfg, const mpi::WorkloadFactory& factory,
     std::string scenario_name, const ScaleOptions& opts = {},
-    const LookaheadMatrix* planted = nullptr);
+    const sim::PairLookahead* planted = nullptr);
 
 }  // namespace pasched::scale

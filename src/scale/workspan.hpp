@@ -1,8 +1,8 @@
 // Work/span analysis of a run's happens-before graph — the trace half of
-// pasched-scale. Work is the total CPU-occupied time across all threads;
-// span is the longest happens-before-ordered chain of that occupied time
-// (program order within a thread, matched MsgSend -> MsgRecv edges across
-// threads). work / span is the classic parallelism bound: no executor —
+// pasched-audit's scale leg. Work is the total CPU-occupied time across all
+// threads; span is the longest happens-before-ordered chain of that occupied
+// time (program order within a thread, matched MsgSend -> MsgRecv edges
+// across threads). work / span is the classic parallelism bound: no executor —
 // however many workers, however clever the windows — can beat it, which
 // makes it the honest "predicted max speedup" to print next to measured
 // speedup in BENCH_shard.json.

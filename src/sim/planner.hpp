@@ -8,7 +8,7 @@
 // t0 + L, and (2) every window costs a full barrier rendezvous.
 //
 // This planner replaces both with the per-pair guaranteed-lookahead matrix
-// (the certificate pasched-scale emits, src/scale/lookahead.hpp): given
+// (net::pair_lookahead, certified at runtime by scale::RunMonitor): given
 // every shard's published next event time, it computes the null-message
 // fixpoint
 //
@@ -42,10 +42,9 @@ namespace pasched::sim {
 
 /// Per-pair guaranteed lookahead bounds, row-major `shards x shards`,
 /// diagonal zero. `global` must be the minimum off-diagonal entry — it
-/// gates the final-window condition. The runtime consumer of the
-/// pasched-scale certificate: core::Simulation fills it from
-/// net::guaranteed_lookahead_between, and scale::RunMonitor cross-checks
-/// it against the certified matrix at monitor install.
+/// gates the final-window condition. Built from the fabric by
+/// net::pair_lookahead; scale::RunMonitor certifies every cross-shard
+/// delivery against the same matrix.
 struct PairLookahead {
   int shards = 0;
   Duration global = Duration::zero();
@@ -56,9 +55,18 @@ struct PairLookahead {
   [[nodiscard]] static PairLookahead uniform(int shards, Duration global);
 
   [[nodiscard]] Duration at(int src, int dst) const {
-    return bounds[static_cast<std::size_t>(src) *
-                      static_cast<std::size_t>(shards) +
-                  static_cast<std::size_t>(dst)];
+    return bounds[index(src, dst)];
+  }
+  void set(int src, int dst, Duration d) { bounds[index(src, dst)] = d; }
+
+  /// The switch hub's shard: the last one (shard 0 when there is only one).
+  [[nodiscard]] int hub_shard() const noexcept { return shards - 1; }
+  [[nodiscard]] bool has_pairs() const noexcept { return shards > 1; }
+
+ private:
+  [[nodiscard]] std::size_t index(int src, int dst) const {
+    return static_cast<std::size_t>(src) * static_cast<std::size_t>(shards) +
+           static_cast<std::size_t>(dst);
   }
 };
 

@@ -42,11 +42,14 @@ namespace {
   return site;
 }
 
+#if PASCHED_VALIDATE_ENABLED
+// Only the validation build times horizon spins for the seam observer.
 [[nodiscard]] int horizon_wait_site() {
   static const int site = util::register_seam_site(
       "ShardedEngine.horizon_wait", util::SeamKind::Wait);
   return site;
 }
+#endif
 
 // Horizon clocks start below any reachable simulation time.
 inline constexpr std::int64_t kHorizonUnset =
@@ -93,6 +96,8 @@ ShardedEngine::~ShardedEngine() {
 void ShardedEngine::set_pair_lookahead(PairLookahead la) {
   PASCHED_EXPECTS_MSG(la.shards == partitions(),
                       "pair-lookahead matrix shard count mismatch");
+  PASCHED_EXPECTS_MSG(la.hub_shard() == hub_,
+                      "pair-lookahead matrix hub shard mismatch");
   PASCHED_EXPECTS_MSG(
       la.global == lookahead_,
       "matrix global bound must equal the constructor lookahead — both come "
@@ -378,7 +383,7 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
   // The full lookahead bounds are the *largest* legal window steps; any
   // shorter span is equally conservative (events can only post further
   // into the future). The perturbation seam shrinks every bound toward the
-  // 1 ns minimum so the pasched-race fuzzer can vary window phasing
+  // 1 ns minimum so the race auditor's fuzzer can vary window phasing
   // without ever breaking the causality guarantee.
   std::int64_t num = 1;
   std::int64_t den = 1;

@@ -128,11 +128,10 @@ class ShardedEngine final : public Router {
   void stop_all() override { stop_flag_.store(true, std::memory_order_relaxed); }
 
   // Planner -------------------------------------------------------------------
-  /// Installs the per-pair guaranteed-lookahead matrix (the runtime side of
-  /// pasched-scale's certificate; core::Simulation derives it from
-  /// net::guaranteed_lookahead_between). `la.shards` must equal
-  /// partitions() and `la.global` the constructor lookahead. Set while no
-  /// workers run.
+  /// Installs the per-pair guaranteed-lookahead matrix (core::Simulation
+  /// passes net::pair_lookahead). `la.shards` must equal partitions(),
+  /// `la.hub_shard()` this engine's hub_shard() and `la.global` the
+  /// constructor lookahead. Set while no workers run.
   void set_pair_lookahead(PairLookahead la);
   /// Selects the window planner. Global reproduces the legacy one-window-
   /// per-round schedule (the audit baseline and the CI scalability smoke's
@@ -193,7 +192,7 @@ class ShardedEngine final : public Router {
   /// instead of always spanning the full bound. Shrinking the window is
   /// always conservative — the lookahead guarantee is unchanged — so every
   /// perturbed run must stay bit-identical to the unperturbed one; the
-  /// pasched-race fuzzer drives this seam to flush out orderings that
+  /// race auditor's fuzzer drives this seam to flush out orderings that
   /// accidentally depend on window phasing. Non-owning; nullptr restores
   /// full-lookahead windows.
   void set_window_choice(ChoiceSource* cs) noexcept { window_choice_ = cs; }

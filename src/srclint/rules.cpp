@@ -177,7 +177,7 @@ class RuleRun {
         report("PSL402", c.line,
                "shard-resident type `" + c.name +
                    "` carries no race::Owned ownership tag — non-owner "
-                   "mutations of it are invisible to pasched-race",
+                   "mutations of it are invisible to the race auditor",
                "embed a race::Owned member and bind it to the owning shard "
                "domain at construction (DESIGN.md §7.1)");
       }

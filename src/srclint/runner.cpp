@@ -161,12 +161,13 @@ SrclintReport run_plant(const std::string& repo_root,
   if (!kLedgersAvailable) return rep;
 
   // PSL506: every shard worker takes the wrap-up lock under its own
-  // race::Domain, so a single-domain claim on it must be refuted.
-  std::vector<contend::SerializationClaim> seams = rep.serialization_claims;
-  seams.push_back(contend::SerializationClaim{"ShardedEngine.wrapup_mu_",
-                                              kPlantedSerializationClaim, 1});
+  // race::Domain, so a single-domain claim on it must be refuted. The
+  // fixture corpus's own claims name fixture mutexes the engine never
+  // registers, so only the made-up claim meets the live run.
   const std::unique_ptr<core::Simulation> sim = multi_domain();
-  contention_leg(rep, *sim, seams);
+  contention_leg(rep, *sim,
+                 {contend::SerializationClaim{"ShardedEngine.wrapup_mu_",
+                                              kPlantedSerializationClaim, 1}});
 
   // PSL606: a hot scope that allocates on purpose, under a made-up
   // allocation-free claim on the same Core site.

@@ -9,7 +9,7 @@
 // recovers the structure the PSL4xx rules need (function bodies bound to a
 // marker, class bodies, macro argument lists). A clang-AST frontend can
 // replace lex_file() behind the same SourceFile interface when LLVM dev
-// packages are available; the rules do not change (DESIGN.md §5.7).
+// packages are available; the rules do not change (DESIGN.md §5.6).
 #pragma once
 
 #include <string>

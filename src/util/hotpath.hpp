@@ -11,7 +11,7 @@
 // per-window ones: a window barrier or an inbox-mutex swap is allowed to
 // block, so it must stay *outside* a PASCHED_HOT function and call into one.
 //
-// Scope of the static guarantee (see DESIGN.md §5.7/§5.9): amortized growth
+// Scope of the static guarantee (see DESIGN.md §5.6): amortized growth
 // inside an already-owned member container is allowed only under the
 // reserve/reused-scratch discipline PSL602 checks, and must sit inside a
 // PASCHED_ALLOC_COLD_REGION (util/allocgate.hpp) so the runtime allocation

@@ -18,12 +18,14 @@ using namespace pasched;
 
 namespace {
 
+#if PASCHED_VALIDATE_ENABLED
 const alloc::SiteAllocRow* find_row(const alloc::AllocLedgerReport& rep,
                                     const std::string& name) {
   for (const alloc::SiteAllocRow& r : rep.sites)
     if (r.name == name) return &r;
   return nullptr;
 }
+#endif
 
 // Defeats heap elision and keeps each probe's size recognizable.
 void churn(std::size_t n) {

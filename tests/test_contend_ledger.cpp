@@ -73,6 +73,18 @@ TEST(ContendLedger, BarrierCrossingsAndWaitShare) {
   EXPECT_NEAR(b->wait_share, 0.75, 1e-9);
 }
 
+TEST(ContendLedger, RoundBarrierCostIsTwoCrossingsOfTheMeanWait) {
+  const int bar = util::register_seam_site("LedgerTest.round_bar",
+                                           util::SeamKind::Barrier);
+  contend::Ledger led;
+  EXPECT_LT(led.report().round_barrier_cost_ns(), 0.0);  // nothing crossed
+  led.on_barrier_wait(bar, 500);
+  led.on_barrier_wait(bar, 250);
+  led.on_barrier_wait(bar, 0);
+  // Mean wait 250 ns per crossing, two crossings per sync round.
+  EXPECT_DOUBLE_EQ(led.report().round_barrier_cost_ns(), 500.0);
+}
+
 TEST(ContendLedger, ResetZeroesTheSlots) {
   const int site =
       util::register_seam_site("LedgerTest.reset_mu", util::SeamKind::Mutex);
@@ -106,6 +118,8 @@ TEST(ContendLedger, CheckClaimsRefutesMultiDomainSites) {
 TEST(ContendLedger, CheckClaimsUpholdsSingleDomainAndSkipsUnobserved) {
   const int site =
       util::register_seam_site("LedgerTest.solo_mu", util::SeamKind::Mutex);
+  util::register_seam_site("LedgerTest.registered_never_touched",
+                           util::SeamKind::Mutex);
   contend::Ledger led;
   {
     race::ScopedDomain d(5);
@@ -114,8 +128,23 @@ TEST(ContendLedger, CheckClaimsUpholdsSingleDomainAndSkipsUnobserved) {
   }
   const std::vector<contend::SerializationClaim> claims = {
       {"LedgerTest.solo_mu", "src/sim/a.cpp", 1},
-      {"LedgerTest.never_registered_or_touched", "src/sim/b.cpp", 2}};
+      {"LedgerTest.registered_never_touched", "src/sim/b.cpp", 2}};
   EXPECT_TRUE(led.check_claims(claims).empty());
+}
+
+TEST(ContendLedger, CheckClaimsRejectsAClaimOnAnUnknownSite) {
+  // A claim naming a site no seam ever registered cannot be checked; it
+  // must fail loudly instead of passing unverified.
+  contend::Ledger led;
+  const std::vector<contend::SerializationClaim> claims = {
+      {"LedgerTest.made_up_site_mu", "src/sim/c.cpp", 3}};
+  const std::vector<analysis::Diagnostic> diags = led.check_claims(claims);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "PSL506");
+  EXPECT_EQ(diags[0].severity, analysis::Severity::Error);
+  EXPECT_EQ(diags[0].subject, "src/sim/c.cpp:3");
+  EXPECT_NE(diags[0].message.find("LedgerTest.made_up_site_mu"),
+            std::string::npos);
 }
 
 #if PASCHED_VALIDATE_ENABLED

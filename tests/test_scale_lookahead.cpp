@@ -1,7 +1,8 @@
-// Golden-value tests for the per-shard-pair lookahead oracle: the pairwise
-// bounds on flat and frame-structured fabrics, the jitter edge cases, the
-// degenerate single-node matrix, the hub rows' global floor, the machine-
-// readable certificate, and the PSL014 lint precursor.
+// Golden-value tests for the per-shard-pair lookahead matrix
+// (net::pair_lookahead): the pairwise bounds on flat and frame-structured
+// fabrics, the jitter edge cases, the degenerate single-node matrix, the hub
+// rows' global floor, the machine-readable certificate, and the PSL014 lint
+// precursor.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,19 +33,21 @@ net::FabricConfig framed_fabric(int frame_size, Duration extra) {
 
 TEST(ScaleLookahead, FlatFabricAllPairsEqualGlobal) {
   // 20us * (1 - 0.02) - 1ns of truncation slack.
-  const auto m = scale::build_lookahead_matrix(flat_fabric(), 4);
-  EXPECT_EQ(m.nodes, 4);
+  const auto m = net::pair_lookahead(flat_fabric(), 4);
   EXPECT_EQ(m.shards, 5);
-  EXPECT_EQ(m.hub_shard, 4);
+  EXPECT_EQ(m.hub_shard(), 4);
   EXPECT_EQ(m.global.count(), 19599);
   EXPECT_TRUE(m.has_pairs());
   for (int a = 0; a < m.shards; ++a)
     for (int b = 0; b < m.shards; ++b)
       EXPECT_EQ(m.at(a, b).count(), a == b ? 0 : 19599)
           << "pair (" << a << "," << b << ")";
-  EXPECT_EQ(m.min_pair().count(), 19599);
-  EXPECT_EQ(m.median_pair().count(), 19599);
-  EXPECT_EQ(m.max_pair().count(), 19599);
+  const auto spread = scale::pair_spread(m);
+  EXPECT_EQ(spread.min.count(), 19599);
+  EXPECT_EQ(spread.median.count(), 19599);
+  EXPECT_EQ(spread.max.count(), 19599);
+  EXPECT_NE(scale::certificate_json(m).find("\"nodes\": 4"),
+            std::string::npos);
 }
 
 TEST(ScaleLookahead, FrameTopologyWidensCrossFramePairs) {
@@ -53,7 +56,7 @@ TEST(ScaleLookahead, FrameTopologyWidensCrossFramePairs) {
   // intra-frame minimum — the frame hop can only add latency.
   const auto cfg = framed_fabric(2, Duration::us(10));
   EXPECT_EQ(net::guaranteed_lookahead(cfg).count(), 19599);
-  const auto m = scale::build_lookahead_matrix(cfg, 4);
+  const auto m = net::pair_lookahead(cfg, 4);
   EXPECT_EQ(m.at(0, 1).count(), 19599);
   EXPECT_EQ(m.at(2, 3).count(), 19599);
   EXPECT_EQ(m.at(0, 2).count(), 29399);
@@ -61,44 +64,43 @@ TEST(ScaleLookahead, FrameTopologyWidensCrossFramePairs) {
   EXPECT_EQ(m.at(3, 0).count(), 29399);
   // Hub rows/columns stay at the global floor regardless of frames.
   for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(m.at(s, m.hub_shard).count(), 19599);
-    EXPECT_EQ(m.at(m.hub_shard, s).count(), 19599);
+    EXPECT_EQ(m.at(s, m.hub_shard()).count(), 19599);
+    EXPECT_EQ(m.at(m.hub_shard(), s).count(), 19599);
   }
-  EXPECT_EQ(m.min_pair().count(), 19599);
-  EXPECT_EQ(m.max_pair().count(), 29399);
+  EXPECT_EQ(scale::pair_spread(m).min.count(), 19599);
+  EXPECT_EQ(scale::pair_spread(m).max.count(), 29399);
 }
 
 TEST(ScaleLookahead, JitterEdgeCases) {
   net::FabricConfig f;
   f.jitter_frac = 0.0;  // only the truncation slack remains
-  EXPECT_EQ(scale::build_lookahead_matrix(f, 2).at(0, 1).count(), 19999);
+  EXPECT_EQ(net::pair_lookahead(f, 2).at(0, 1).count(), 19999);
 
   f.jitter_frac = 0.5;
-  EXPECT_EQ(scale::build_lookahead_matrix(f, 2).at(0, 1).count(), 9999);
+  EXPECT_EQ(net::pair_lookahead(f, 2).at(0, 1).count(), 9999);
 
   // Pathologically tiny latency: the bound clamps at 1ns, never 0 or
   // negative (a zero bound would let the conservative window collapse).
   f.inter_node_latency = Duration::ns(1);
   f.jitter_frac = 0.9;
-  EXPECT_EQ(scale::build_lookahead_matrix(f, 2).at(0, 1).count(), 1);
+  EXPECT_EQ(net::pair_lookahead(f, 2).at(0, 1).count(), 1);
 }
 
 TEST(ScaleLookahead, SingleNodeHasNoPairs) {
-  const auto m = scale::build_lookahead_matrix(flat_fabric(), 1);
+  const auto m = net::pair_lookahead(flat_fabric(), 1);
   EXPECT_EQ(m.shards, 1);
-  EXPECT_EQ(m.hub_shard, 0);
+  EXPECT_EQ(m.hub_shard(), 0);
   EXPECT_FALSE(m.has_pairs());
-  EXPECT_EQ(m.min_pair().count(), 0);
-  EXPECT_EQ(m.median_pair().count(), 0);
+  EXPECT_EQ(scale::pair_spread(m).min.count(), 0);
+  EXPECT_EQ(scale::pair_spread(m).median.count(), 0);
   // The certificate must still be emittable.
-  const std::string cert = m.certificate_json();
+  const std::string cert = scale::certificate_json(m);
   EXPECT_NE(cert.find("\"shards\": 1"), std::string::npos);
 }
 
 TEST(ScaleLookahead, CertificateJsonCarriesTheMatrix) {
-  const auto m =
-      scale::build_lookahead_matrix(framed_fabric(2, Duration::us(10)), 4);
-  const std::string cert = m.certificate_json();
+  const auto m = net::pair_lookahead(framed_fabric(2, Duration::us(10)), 4);
+  const std::string cert = scale::certificate_json(m);
   EXPECT_NE(cert.find("\"certificate\""), std::string::npos);
   EXPECT_NE(cert.find("\"nodes\": 4"), std::string::npos);
   EXPECT_NE(cert.find("\"hub_shard\": 4"), std::string::npos);

@@ -11,7 +11,7 @@
 #include "apps/aggregate_trace.hpp"
 #include "core/presets.hpp"
 #include "core/simulation.hpp"
-#include "scale/lookahead.hpp"
+#include "net/fabric.hpp"
 #include "scale/monitor.hpp"
 #include "scale/runner.hpp"
 #include "scale/windows.hpp"
@@ -98,7 +98,7 @@ TEST(ScaleWindows, CleanRunCertifiesTheHonestMatrix) {
   core::Simulation sim(cfg, workload());
   ASSERT_NE(sim.sharded(), nullptr);
   scale::RunMonitor mon(
-      scale::build_lookahead_matrix(cfg.cluster.fabric, cfg.cluster.nodes),
+      net::pair_lookahead(cfg.cluster.fabric, cfg.cluster.nodes),
       *sim.sharded());
   sim.sharded()->set_monitor(&mon);
   const auto res = sim.run();
@@ -117,8 +117,8 @@ TEST(ScaleWindows, CleanRunCertifiesTheHonestMatrix) {
 
 TEST(ScaleWindows, PlantedUnsoundBoundIsCaught) {
   const core::SimulationConfig cfg = scenario(/*parallel=*/1);
-  scale::LookaheadMatrix planted =
-      scale::build_lookahead_matrix(cfg.cluster.fabric, cfg.cluster.nodes);
+  sim::PairLookahead planted =
+      net::pair_lookahead(cfg.cluster.fabric, cfg.cluster.nodes);
   for (int a = 0; a < planted.shards; ++a)
     for (int b = 0; b < planted.shards; ++b)
       if (a != b) planted.set(a, b, planted.at(a, b) * 4);

@@ -1,30 +1,46 @@
-// pasched-audit: the reproducibility and self-consistency gate.
+// pasched-audit: the one runtime auditor. Four legs drive the same two
+// scenario shapes (fig3 = vanilla kernel, fig5 = prototype kernel +
+// co-scheduler; tools/scenario.hpp) with one parameter set:
 //
-// For each kernel preset it runs the paper's synthetic Allreduce benchmark
-// TWICE with the same seed, folds every scheduling-visible artifact — the
-// full per-CPU occupancy trace, scheduler event counts, per-node accounting,
-// and the job's timing statistics — into a single hash, and fails if the two
-// runs differ in any bit. It then audits every node with check::Auditor
-// (CPU-time conservation, run-queue consistency) and the engine's structural
-// audit. CI runs this to prove the simulator stays deterministic.
+//  repro        each scenario twice on the classic engine with the same
+//               seed; the full CPU occupancy trace, scheduler counts,
+//               per-node accounting and job timing fold into one hash that
+//               must match bit for bit, and every node must pass the
+//               conservation / run-queue audits.
+//  equivalence  classic vs --parallel=1 vs --parallel=<workers> (per-pair
+//               planner) vs <workers> under the global planner: the four
+//               canonical history digests must be identical, and on fig5
+//               the per-pair planner must pay >= 3x fewer sync rounds.
+//  race         the partitioned run with the ownership layer armed and a
+//               vector-clock monitor on every cross-shard seam (PSL201-204).
+//               --fuzz-windows=N adds N window perturbations that must each
+//               reproduce the unperturbed digest; a divergence writes
+//               pasched-audit.<scenario>.failing-schedule for --replay.
+//  scale        every cross-shard delivery certified against the fabric's
+//               per-pair lookahead matrix (PSL303), plus the work/span and
+//               window barrier-cost speedup models (PSL301/302/304-306).
 //
-//   ./pasched-audit [--nodes=4] [--tasks-per-node=16] [--calls=120]
-//       [--seed=1] [--verbose]
+//   ./pasched-audit [--only=repro,equivalence,race,scale]
+//       [--scenario=fig3|fig5|both] [--nodes=4] [--tasks-per-node=16]
+//       [--calls=120] [--seed=1] [--workers=4] [--fuzz-windows=N]
+//       [--replay=SCHEDULE_FILE] [--plant] [--verbose] [--report=FILE]
+//       [--json=FILE]
 //
-// With --parallel-equivalence it instead proves the partitioned execution
-// mode faithful: each scenario runs under the classic single-queue engine,
-// --parallel=1 and --parallel=<workers>, and the three canonical history
-// digests (scheduling intervals + analyzer events + per-rank finish times,
-// truncated at job completion) must be identical.
+// --plant runs both planted faults and must exit 1: the race leg's
+// cross-shard write (an event on shard 0 mutates node 1's kernel; one
+// worker, so the logical violation is caught without a physical data race)
+// must be flagged PSL201 on kern.Kernel[1], and the scale leg's claims,
+// every pair inflated 4x, must be refuted PSL303. Without --only it runs
+// just those two legs.
 //
-//   ./pasched-audit --parallel-equivalence [--workers=8] [--nodes=4] ...
-//
-// Exit status: 0 = reproducible and consistent, 1 = divergence, 2 = a model
-// invariant is violated, 64 = bad usage.
+// Exit status: 0 = clean (warnings allowed), 1 = findings or divergence,
+// 2 = a model invariant is violated, 64 = bad usage (including a --report or
+// --json path that cannot be written).
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,95 +50,151 @@
 #include "check/check.hpp"
 #include "core/equivalence.hpp"
 #include "core/simulation.hpp"
-#include "trace/trace.hpp"
+#include "mc/schedule.hpp"
+#include "net/fabric.hpp"
+#include "race/fuzz.hpp"
+#include "scale/runner.hpp"
 #include "scenario.hpp"
+#include "trace/trace.hpp"
 #include "util/flags.hpp"
 
 using namespace pasched;
 
 namespace {
 
-/// FNV-1a, folded 8 bytes at a time.
-class Hasher {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
-  }
-  void mix_str(const std::string& s) {
-    for (const char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= 0x100000001b3ULL;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
+/// The fig5 sync-round cut the per-pair planner must deliver over the
+/// global planner (schedule-derived, so identical on every machine).
+constexpr double kMinRoundCut = 3.0;
 
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+const char* const kUsage =
+    "usage: pasched-audit [--only=repro,equivalence,race,scale]"
+    " [--scenario=fig3|fig5|both] [--nodes=N] [--tasks-per-node=N]"
+    " [--calls=N] [--seed=N] [--workers=N] [--fuzz-windows=N]"
+    " [--replay=SCHEDULE_FILE] [--plant] [--verbose] [--report=FILE]"
+    " [--json=FILE]\n";
 
-struct AuditParams {
+struct Params {
+  bool repro = false;
+  bool equivalence = false;
+  bool race = false;
+  bool scale = false;
+  std::vector<bool> prototypes;  // false = fig3, true = fig5
   int nodes = 4;
   int tasks_per_node = 16;
   int calls = 120;
   std::uint64_t seed = 1;
+  int workers = 4;
+  int fuzz = 0;
+  std::string replay;
+  bool plant = false;
   bool verbose = false;
 };
 
-/// One row of the --json=FILE report, filled per audited scenario.
-struct ScenarioRow {
-  std::string name;
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
+}
+
+/// One digest row of the report: a repro, equivalence or race scenario.
+struct Row {
+  std::string leg;
+  std::string scenario;
   std::uint64_t hash = 0;
   std::uint64_t events = 0;
-  bool completed = false;
+  std::uint64_t rounds_perpair = 0;  // equivalence only
+  std::uint64_t rounds_global = 0;   // equivalence only
   bool ok = false;
 };
 
-std::vector<ScenarioRow> g_rows;
+/// What every leg writes into: the text that goes to stdout and --report,
+/// the digest rows and findings that go to --json, and the exit status.
+class Audit {
+ public:
+  template <typename T>
+  Audit& operator<<(const T& v) {
+    std::cout << v;
+    text_ << v;
+    return *this;
+  }
+  void flush() { std::cout.flush(); }
+  void fail(int rc) { rc_ = std::max(rc_, rc); }
+  void add(Row row) {
+    if (!row.ok) fail(1);
+    rows_.push_back(std::move(row));
+  }
+  /// Records findings; prints them unless the caller already has.
+  void add(const std::vector<analysis::Diagnostic>& findings,
+           bool print = true) {
+    if (print)
+      for (const analysis::Diagnostic& d : findings)
+        *this << "  " << d.str() << "\n";
+    if (analysis::any_errors(findings)) fail(1);
+    findings_.insert(findings_.end(), findings.begin(), findings.end());
+  }
+  void add_scale(std::string json) { scale_.push_back(std::move(json)); }
 
-void write_json(const std::string& path, const char* mode, int rc) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "pasched-audit: cannot write " << path << "\n";
-    return;
+  [[nodiscard]] int rc() const noexcept { return rc_; }
+  [[nodiscard]] std::string text() const { return text_.str(); }
+  [[nodiscard]] std::string json(const Params& p) const;
+
+ private:
+  std::ostringstream text_;
+  std::vector<Row> rows_;
+  std::vector<analysis::Diagnostic> findings_;
+  std::vector<std::string> scale_;
+  int rc_ = 0;
+};
+
+std::string Audit::json(const Params& p) const {
+  std::ostringstream os;
+  os << "{\n  " << analysis::json_report_header("pasched-audit") << "\n"
+     << "  \"legs\": [";
+  const char* sep = "";
+  for (const auto& [on, name] :
+       {std::pair{p.repro, "repro"}, std::pair{p.equivalence, "equivalence"},
+        std::pair{p.race, "race"}, std::pair{p.scale, "scale"}}) {
+    if (!on) continue;
+    os << sep << "\"" << name << "\"";
+    sep = ", ";
   }
-  out << "{\n  " << analysis::json_report_header("pasched-audit") << "\n"
-      << "  \"mode\": \"" << mode << "\",\n"
-      << "  \"pass\": " << (rc == 0 ? "true" : "false") << ",\n"
-      << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const ScenarioRow& r = g_rows[i];
-    out << "    {\"name\": \"" << analysis::json_escape(r.name)
-        << "\", \"hash\": \"0x" << std::hex << r.hash << std::dec
-        << "\", \"events\": " << r.events
-        << ", \"completed\": " << (r.completed ? "true" : "false")
-        << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-        << (i + 1 < g_rows.size() ? "," : "") << "\n";
+  os << "],\n  \"plant\": " << (p.plant ? "true" : "false")
+     << ",\n  \"pass\": " << (rc_ == 0 ? "true" : "false")
+     << ",\n  \"exit\": " << rc_ << ",\n  \"scenarios\": [";
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const Row& r = rows_[i];
+    os << (i == 0 ? "\n" : ",\n") << "    {\"leg\": \"" << r.leg
+       << "\", \"scenario\": \"" << r.scenario << "\", \"hash\": \"0x"
+       << hex(r.hash) << "\", \"events\": " << r.events;
+    if (r.leg == "equivalence")
+      os << ", \"sync_rounds_perpair\": " << r.rounds_perpair
+         << ", \"sync_rounds_global\": " << r.rounds_global;
+    os << ", \"ok\": " << (r.ok ? "true" : "false") << "}";
   }
-  out << "  ]\n}\n";
-  std::cout << "json report written to " << path << "\n";
+  os << (rows_.empty() ? "]" : "\n  ]") << ",\n  \"findings\": "
+     << analysis::diagnostics_json(findings_, 2) << ",\n  \"scale\": [";
+  for (std::size_t i = 0; i < scale_.size(); ++i)
+    os << (i == 0 ? "\n" : ",\n") << scale_[i];
+  os << (scale_.empty() ? "]" : "\n  ]") << "\n}\n";
+  return os.str();
 }
 
-struct RunDigest {
+tools::TraceScenario scenario(const Params& p, bool prototype) {
+  return tools::trace_scenario(prototype, p.nodes, p.tasks_per_node, p.calls,
+                               p.seed);
+}
+
+// -- repro ------------------------------------------------------------------
+
+struct ReproDigest {
   std::uint64_t hash = 0;
   std::uint64_t events = 0;
   bool completed = false;
-  bool invariants_ok = false;
-  std::string invariant_error;
+  std::string invariant_error;  // empty = every audit passed
 };
 
-RunDigest run_scenario(const AuditParams& p, bool prototype) {
-  const tools::TraceScenario s = tools::trace_scenario(
-      prototype, p.nodes, p.tasks_per_node, p.calls, p.seed);
+ReproDigest repro_run(const Params& p, bool prototype, Audit& out) {
+  const tools::TraceScenario s = scenario(p, prototype);
   core::Simulation sim(s.cfg, s.factory);
 
   // One tracer observes every node; recording from t=0 captures the full
@@ -134,11 +206,7 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
 
   const core::SimulationResult result = sim.run();
 
-  RunDigest d;
-  d.events = result.events;
-  d.completed = result.completed;
-
-  Hasher h;
+  core::Hasher h;
   h.mix_int(result.elapsed.count());
   h.mix(result.events);
   h.mix(result.completed ? 1 : 0);
@@ -170,96 +238,217 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
   h.mix_double(ch.all_us.mean());
   h.mix_double(ch.all_us.max());
   for (const double us : ch.recorded_us) h.mix_double(us);
-  d.hash = h.value();
 
+  ReproDigest d;
+  d.hash = h.value();
+  d.events = result.events;
+  d.completed = result.completed;
   // Self-consistency: engine structure plus every node's conservation and
   // run-queue invariants at the quiescent end-of-run point.
-  d.invariants_ok = true;
   try {
     sim.engine().check_consistent();
     for (int n = 0; n < sim.cluster().size(); ++n) {
       const kern::Kernel& k = sim.cluster().node(n).kernel();
       check::Auditor::verify_conservation(k);
       check::Auditor::verify_runqueues(k);
-      if (p.verbose) {
-        std::cout << "  node " << n << ": "
-                  << check::Auditor::conservation(k).str() << "\n";
-      }
+      if (p.verbose)
+        out << "  node " << n << ": "
+            << check::Auditor::conservation(k).str() << "\n";
     }
   } catch (const check::CheckError& e) {
-    d.invariants_ok = false;
     d.invariant_error = e.what();
   }
   return d;
 }
 
-/// The execution-mode equivalence gate: classic vs --parallel=1 vs
-/// --parallel=<workers> (per-pair planner) vs --parallel=<workers> under
-/// the legacy global-window planner, on the fig3 (vanilla) and fig5
-/// (prototype + co-scheduler) scenario shapes. The fourth digest pins the
-/// per-pair window planner to the one-global-window schedule it refactored
-/// away — any window-schedule dependence in the workload shows up here.
-int run_parallel_equivalence(const AuditParams& p, int workers) {
-  int rc = 0;
-  for (const bool prototype : {false, true}) {
-    tools::TraceScenario s = tools::trace_scenario(
-        prototype, p.nodes, p.tasks_per_node, p.calls, p.seed);
-    core::SimulationConfig& cfg = s.cfg;
+void leg_repro(const Params& p, Audit& out) {
+  for (const bool prototype : p.prototypes) {
+    const char* name = scenario(p, prototype).name;
+    out << "repro " << name << ": run 1...";
+    out.flush();
+    const ReproDigest a = repro_run(p, prototype, out);
+    out << " run 2...";
+    out.flush();
+    const ReproDigest b = repro_run(p, prototype, out);
+    out << "\n  events=" << a.events << " completed=" << a.completed
+        << " hash=" << hex(a.hash) << "\n";
 
-    std::cout << "scenario " << s.name << ": legacy..." << std::flush;
-    cfg.parallel = 0;
-    const core::CanonicalDigest legacy =
-        core::run_canonical(cfg, s.factory);
-    std::cout << " parallel=1..." << std::flush;
-    cfg.parallel = 1;
-    const core::CanonicalDigest par1 = core::run_canonical(cfg, s.factory);
-    std::cout << " parallel=" << workers << "..." << std::flush;
-    cfg.parallel = workers;
-    const core::CanonicalDigest parn = core::run_canonical(cfg, s.factory);
-    std::cout << " parallel=" << workers << "/global..." << std::flush;
-    cfg.planner = sim::PlannerMode::Global;
-    const core::CanonicalDigest parg = core::run_canonical(cfg, s.factory);
-    cfg.planner = sim::PlannerMode::PerPair;
-
-    std::cout << "\n  legacy     hash=" << std::hex << legacy.hash << std::dec
-              << " completed=" << legacy.completed
-              << " events=" << legacy.events << "\n  parallel=1 hash="
-              << std::hex << par1.hash << std::dec
-              << " completed=" << par1.completed << " events=" << par1.events
-              << "\n  parallel=" << workers << " hash=" << std::hex
-              << parn.hash << std::dec << " completed=" << parn.completed
-              << " events=" << parn.events << "\n  par" << workers
-              << "/global hash=" << std::hex << parg.hash << std::dec
-              << " completed=" << parg.completed << " events=" << parg.events
-              << "\n";
-    ScenarioRow row;
-    row.name = s.name;
-    row.hash = legacy.hash;
-    row.events = legacy.events;
-    row.completed = legacy.completed && par1.completed && parn.completed &&
-                    parg.completed;
-    if (!row.completed) {
-      std::cout << "  FAIL: a mode did not run the job to completion\n";
-      g_rows.push_back(row);
-      rc = 1;
-      continue;
+    Row row{"repro", name, a.hash, a.events, 0, 0, false};
+    if (a.hash != b.hash || a.events != b.events) {
+      out << "  FAIL: runs diverged (second hash=" << hex(b.hash)
+          << ", events=" << b.events << ")\n";
+    } else if (!a.invariant_error.empty() || !b.invariant_error.empty()) {
+      out << "  FAIL: invariant violated: "
+          << (a.invariant_error.empty() ? b.invariant_error
+                                        : a.invariant_error)
+          << "\n";
+      out.fail(2);
+    } else {
+      row.ok = true;
+      out << "  OK: bit-identical and self-consistent\n";
     }
-    if (legacy.hash != par1.hash || par1.hash != parn.hash ||
-        parn.hash != parg.hash ||
-        legacy.elapsed.count() != par1.elapsed.count() ||
-        par1.elapsed.count() != parn.elapsed.count() ||
-        parn.elapsed.count() != parg.elapsed.count()) {
-      std::cout << "  FAIL: execution modes diverged\n";
-      g_rows.push_back(row);
-      rc = 1;
-      continue;
-    }
-    row.ok = true;
-    g_rows.push_back(row);
-    std::cout << "  OK: all four execution modes are bit-identical\n";
+    out.add(std::move(row));
   }
-  if (rc == 0) std::cout << "pasched-audit: PASS (parallel equivalence)\n";
-  return rc;
+}
+
+// -- equivalence ------------------------------------------------------------
+
+void leg_equivalence(const Params& p, Audit& out) {
+  for (const bool prototype : p.prototypes) {
+    tools::TraceScenario s = scenario(p, prototype);
+    core::SimulationConfig& cfg = s.cfg;
+    const std::string par = "parallel=" + std::to_string(p.workers);
+
+    struct Mode {
+      std::string label;
+      int parallel;
+      sim::PlannerMode planner;
+      core::CanonicalDigest digest;
+    };
+    std::vector<Mode> modes = {
+        {"legacy", 0, sim::PlannerMode::PerPair, {}},
+        {"parallel=1", 1, sim::PlannerMode::PerPair, {}},
+        {par, p.workers, sim::PlannerMode::PerPair, {}},
+        {par + "/global", p.workers, sim::PlannerMode::Global, {}}};
+    out << "equivalence " << s.name << ":";
+    for (Mode& m : modes) {
+      out << " " << m.label << "...";
+      out.flush();
+      cfg.parallel = m.parallel;
+      cfg.planner = m.planner;
+      m.digest = core::run_canonical(cfg, s.factory);
+    }
+    out << "\n";
+
+    bool same = true;
+    for (const Mode& m : modes) {
+      out << "  " << m.label << " hash=" << hex(m.digest.hash)
+          << " completed=" << m.digest.completed
+          << " events=" << m.digest.events << "\n";
+      same = same && m.digest.completed &&
+             m.digest.hash == modes.front().digest.hash &&
+             m.digest.elapsed == modes.front().digest.elapsed;
+    }
+    const std::uint64_t perpair = modes[2].digest.sync_rounds;
+    const std::uint64_t global = modes[3].digest.sync_rounds;
+    const double cut = perpair == 0 ? 0.0
+                                    : static_cast<double>(global) /
+                                          static_cast<double>(perpair);
+    out << "  sync rounds: per-pair " << perpair << " vs global " << global
+        << " (" << cut << "x)\n";
+
+    Row row{"equivalence", s.name, modes.front().digest.hash,
+            modes.front().digest.events, perpair, global, false};
+    if (!same) {
+      out << "  FAIL: the execution modes diverged or did not complete\n";
+    } else if (prototype && cut < kMinRoundCut) {
+      out << "  FAIL: the per-pair planner cut fig5 sync rounds only " << cut
+          << "x (< " << kMinRoundCut << "x)\n";
+    } else {
+      row.ok = true;
+      out << "  OK: all four execution modes are bit-identical\n";
+    }
+    out.add(std::move(row));
+  }
+}
+
+// -- race -------------------------------------------------------------------
+
+void leg_race(const Params& p, Audit& out) {
+  for (const bool prototype : p.prototypes) {
+    const tools::TraceScenario s = scenario(p, prototype);
+    Row row{"race", s.name, 0, 0, 0, 0, false};
+    std::vector<analysis::Diagnostic> findings;
+    if (!p.replay.empty()) {
+      std::ifstream in(p.replay);
+      std::stringstream buf;
+      buf << in.rdbuf();
+      const mc::Schedule sched = mc::Schedule::parse(buf.str());
+      out << "race " << s.name << ": replaying " << sched.size()
+          << " window choices from " << p.replay << "...";
+      out.flush();
+      const race::AuditRun run =
+          race::replay_schedule(s.cfg, s.factory, sched, p.workers);
+      out << " hash=" << hex(run.digest.hash) << "\n";
+      row.hash = run.digest.hash;
+      row.events = run.digest.events;
+      findings = run.findings;
+    } else if (p.fuzz > 0) {
+      out << "race " << s.name << ": fuzz (workers=" << p.workers << ")...";
+      out.flush();
+      const race::FuzzResult fz =
+          race::fuzz_windows(s.cfg, s.factory, p.fuzz, p.seed, p.workers);
+      out << " " << fz.runs << " runs (baseline + " << p.fuzz
+          << " perturbations), base hash=" << hex(fz.base_hash) << "\n";
+      row.hash = fz.base_hash;
+      findings = fz.findings;
+      if (fz.diverged) {
+        const std::string file =
+            std::string("pasched-audit.") + s.name + ".failing-schedule";
+        std::ofstream(file) << fz.failing.serialize();
+        out << "  failing window schedule written to " << file << "\n";
+      }
+    } else {
+      race::AuditOptions opt;
+      opt.workers = p.plant ? 1 : p.workers;
+      opt.plant_cross_shard_write = p.plant;
+      out << "race " << s.name << ": audit (workers=" << opt.workers
+          << (p.plant ? ", planted cross-shard write" : "") << ")...";
+      out.flush();
+      const race::AuditRun run = race::run_audited(s.cfg, s.factory, opt);
+      out << " hash=" << hex(run.digest.hash) << " posts=" << run.stats.posts
+          << " admits=" << run.stats.admits
+          << " windows=" << run.stats.windows
+          << " horizon_publishes=" << run.stats.horizon_publishes
+          << " horizon_waits=" << run.stats.horizon_waits << "\n";
+      row.hash = run.digest.hash;
+      row.events = run.digest.events;
+      findings = run.findings;
+    }
+    row.ok = !analysis::any_errors(findings);
+    out << (findings.empty() ? "  OK: no PSL2xx findings\n" : "");
+    out.add(findings);
+    out.add(std::move(row));
+  }
+}
+
+// -- scale ------------------------------------------------------------------
+
+void leg_scale(const Params& p, Audit& out) {
+  for (const bool prototype : p.prototypes) {
+    tools::TraceScenario s = scenario(p, prototype);
+    s.cfg.parallel = p.workers;
+    out << "scale " << s.name << ": analyze (workers=" << p.workers
+        << (p.plant ? ", planted unsound bound" : "") << ")...";
+    out.flush();
+
+    scale::ScaleReport rep;
+    if (p.plant) {
+      // Inflate EVERY pairwise claim: allreduce traffic flows through the
+      // hub, so inflating a single node-node pair might never be exercised.
+      sim::PairLookahead planted =
+          net::pair_lookahead(s.cfg.cluster.fabric, s.cfg.cluster.nodes);
+      for (int a = 0; a < planted.shards; ++a)
+        for (int b = 0; b < planted.shards; ++b)
+          if (a != b) planted.set(a, b, planted.at(a, b) * 4);
+      rep = scale::analyze_scenario(s.cfg, s.factory, s.name, {}, &planted);
+    } else {
+      rep = scale::analyze_scenario(s.cfg, s.factory, s.name);
+    }
+    out << " rounds=" << rep.rounds
+        << " posts=" << rep.posts_checked
+        << " ceiling=" << rep.predicted_max_speedup() << "x\n";
+    if (p.verbose) out << rep.str();  // carries the findings itself
+    const std::vector<analysis::Diagnostic> findings = rep.diagnostics();
+    out << (findings.empty() ? "  OK: no PSL3xx findings\n" : "");
+    out.add(findings, /*print=*/!p.verbose);
+    out.add_scale(rep.json());
+  }
+}
+
+int usage_error(const std::string& why) {
+  std::cerr << "pasched-audit: " << why << "\n" << kUsage;
+  return 64;
 }
 
 }  // namespace
@@ -268,78 +457,102 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   // An audit gate must not silently ignore a typo'd flag — a misspelled
   // --seed would "pass" the wrong scenario.
-  const std::vector<std::string> typos =
-      flags.unknown({"nodes", "tasks-per-node", "calls", "seed", "verbose",
-                     "parallel-equivalence", "workers", "json"});
+  const std::vector<std::string> typos = flags.unknown(
+      {"only", "scenario", "nodes", "tasks-per-node", "calls", "seed",
+       "workers", "fuzz-windows", "replay", "plant", "verbose", "report",
+       "json"});
   if (!typos.empty()) {
-    std::cerr << "pasched-audit: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-audit [--nodes=N] [--tasks-per-node=N]"
-                 " [--calls=N] [--seed=N] [--verbose]"
-                 " [--parallel-equivalence [--workers=N]] [--json=FILE]\n";
-    return 64;
+    std::string list;
+    for (const std::string& t : typos) list += " --" + t;
+    return usage_error("unknown flag(s):" + list);
   }
-  AuditParams p;
+
+  Params p;
+  p.plant = flags.get_bool("plant", false);
+  std::istringstream only(flags.get(
+      "only", p.plant ? "race,scale" : "repro,equivalence,race,scale"));
+  for (std::string leg; std::getline(only, leg, ',');) {
+    bool* on = leg == "repro"         ? &p.repro
+               : leg == "equivalence" ? &p.equivalence
+               : leg == "race"        ? &p.race
+               : leg == "scale"       ? &p.scale
+                                      : nullptr;
+    if (on == nullptr)
+      return usage_error("unknown leg '" + leg + "' in --only");
+    *on = true;
+  }
+  const std::string which = flags.get("scenario", "both");
+  if (which != "fig3" && which != "fig5" && which != "both")
+    return usage_error("--scenario must be fig3, fig5 or both");
+  if (which != "fig5") p.prototypes.push_back(false);
+  if (which != "fig3") p.prototypes.push_back(true);
   p.nodes = static_cast<int>(flags.get_int("nodes", p.nodes));
   p.tasks_per_node =
       static_cast<int>(flags.get_int("tasks-per-node", p.tasks_per_node));
   p.calls = static_cast<int>(flags.get_int("calls", p.calls));
   p.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  p.workers = static_cast<int>(flags.get_int("workers", p.workers));
+  p.fuzz = static_cast<int>(flags.get_int("fuzz-windows", 0));
+  p.replay = flags.get("replay", "");
   p.verbose = flags.get_bool("verbose", false);
-  if (p.nodes < 1 || p.tasks_per_node < 1 || p.calls < 1) {
-    std::cerr << "pasched-audit: --nodes, --tasks-per-node and --calls must"
-                 " be positive\n";
-    return 64;
+
+  if (!p.repro && !p.equivalence && !p.race && !p.scale)
+    return usage_error("--only selects no leg");
+  if (p.nodes < 1 || p.tasks_per_node < 1 || p.calls < 1 || p.workers < 1 ||
+      p.fuzz < 0)
+    return usage_error(
+        "--nodes, --tasks-per-node, --calls and --workers must be positive");
+  if ((p.race || p.scale) && p.nodes < 2)
+    return usage_error(
+        "the race and scale legs need --nodes >= 2 (the partitioned core "
+        "needs shards to cross)");
+  if ((p.fuzz > 0 || !p.replay.empty()) && !p.race)
+    return usage_error("--fuzz-windows and --replay need the race leg");
+  if (p.plant && !p.race && !p.scale)
+    return usage_error("--plant needs the race or scale leg");
+  if (!p.replay.empty()) {
+    if (p.prototypes.size() != 1)
+      return usage_error("--replay needs a single --scenario");
+    if (!std::ifstream(p.replay))
+      return usage_error("cannot read " + p.replay);
   }
 
-  const std::string json_path = flags.get("json", "");
-
-  if (flags.get_bool("parallel-equivalence", false)) {
-    const int workers = static_cast<int>(flags.get_int("workers", 8));
-    if (workers < 1) {
-      std::cerr << "pasched-audit: --workers must be positive\n";
-      return 64;
-    }
-    const int rc = run_parallel_equivalence(p, workers);
-    if (!json_path.empty()) write_json(json_path, "parallel-equivalence", rc);
-    return rc;
+  // Open the outputs before any run so an unwritable path fails fast.
+  const std::string report_file = flags.get("report", "");
+  const std::string json_file = flags.get("json", "");
+  std::ofstream report_out;
+  std::ofstream json_out;
+  if (!report_file.empty()) {
+    report_out.open(report_file);
+    if (!report_out) return usage_error("cannot write " + report_file);
+  }
+  if (!json_file.empty()) {
+    json_out.open(json_file);
+    if (!json_out) return usage_error("cannot write " + json_file);
   }
 
-  int rc = 0;
-  for (const bool prototype : {false, true}) {
-    const char* name = prototype ? "prototype+cosched" : "vanilla";
-    std::cout << "scenario " << name << ": run 1..." << std::flush;
-    const RunDigest a = run_scenario(p, prototype);
-    std::cout << " run 2..." << std::flush;
-    const RunDigest b = run_scenario(p, prototype);
-    std::cout << "\n  events=" << a.events << " completed=" << a.completed
-              << " hash=" << std::hex << a.hash << std::dec << "\n";
-
-    ScenarioRow row;
-    row.name = name;
-    row.hash = a.hash;
-    row.events = a.events;
-    row.completed = a.completed;
-    if (a.hash != b.hash || a.events != b.events) {
-      std::cout << "  FAIL: runs diverged (second hash=" << std::hex << b.hash
-                << std::dec << ", events=" << b.events << ")\n";
-      g_rows.push_back(row);
-      rc = rc == 0 ? 1 : rc;
-      continue;
+  Audit out;
+  for (const auto& [on, leg] :
+       {std::pair{p.repro, &leg_repro},
+        std::pair{p.equivalence, &leg_equivalence},
+        std::pair{p.race, &leg_race}, std::pair{p.scale, &leg_scale}}) {
+    if (!on) continue;
+    try {
+      leg(p, out);
+    } catch (const check::CheckError& e) {
+      out << "\n  FAIL: model invariant violated: " << e.what() << "\n";
+      out.fail(2);
     }
-    if (!a.invariants_ok || !b.invariants_ok) {
-      std::cout << "  FAIL: invariant violated: "
-                << (a.invariants_ok ? b.invariant_error : a.invariant_error)
-                << "\n";
-      g_rows.push_back(row);
-      rc = 2;
-      continue;
-    }
-    row.ok = true;
-    g_rows.push_back(row);
-    std::cout << "  OK: bit-identical and self-consistent\n";
   }
-  if (!json_path.empty()) write_json(json_path, "reproducibility", rc);
-  if (rc == 0) std::cout << "pasched-audit: PASS\n";
-  return rc;
+  out << (out.rc() == 0 ? "pasched-audit: PASS\n" : "pasched-audit: FAIL\n");
+
+  if (report_out.is_open()) {
+    report_out << out.text();
+    std::cerr << "report written to " << report_file << "\n";
+  }
+  if (json_out.is_open()) {
+    json_out << out.json(p);
+    std::cerr << "json written to " << json_file << "\n";
+  }
+  return out.rc();
 }
