@@ -198,6 +198,19 @@ std::string git_commit() {
   return out.empty() ? "unknown" : out;
 }
 
+std::string build_type() {
+  const std::string t = PASCHED_BENCH_BUILD_TYPE;
+  return t.empty() ? "unknown" : t;
+}
+
+bool validate_enabled() {
+#if PASCHED_VALIDATE_ENABLED
+  return true;
+#else
+  return false;
+#endif
+}
+
 void banner(const std::string& title, const std::string& paper_ref) {
   std::cout << "==============================================================\n"
             << title << "\n"

@@ -147,4 +147,10 @@ void banner(const std::string& title, const std::string& paper_ref);
 /// BENCH_*.json stamps it so numbers are attributable to a tree state.
 [[nodiscard]] std::string git_commit();
 
+/// CMAKE_BUILD_TYPE the benches were configured with ("unknown" if none)
+/// and whether PASCHED_VALIDATE checks are compiled in. Every BENCH_*.json
+/// records both: a validation-on or Debug build is not a perf result.
+[[nodiscard]] std::string build_type();
+[[nodiscard]] bool validate_enabled();
+
 }  // namespace bench

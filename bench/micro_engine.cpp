@@ -316,6 +316,9 @@ int main(int argc, char** argv) {
   std::ostringstream os;
   os << "{\n  \"bench\": \"micro_engine\",\n"
      << "  \"git_commit\": \"" << bench::git_commit() << "\",\n"
+     << "  \"build_type\": \"" << bench::build_type() << "\",\n"
+     << "  \"validate_enabled\": "
+     << (bench::validate_enabled() ? "true" : "false") << ",\n"
      << "  \"hardware_concurrency\": " << hw << ",\n"
      << "  \"speedup_valid_note\": \"rows with cores > hardware_concurrency "
         "measure oversubscription; compare median_events_per_sec_per_core "

@@ -246,11 +246,9 @@ int main(int argc, char** argv) {
      << "  \"speedup_valid_note\": \"speedup columns are only meaningful "
         "when cores <= hardware_concurrency; oversubscribed rows measure "
         "thread churn, not the partitioned core\",\n"
-#if PASCHED_VALIDATE_ENABLED
-     << "  \"validate_enabled\": true,\n"
-#else
-     << "  \"validate_enabled\": false,\n"
-#endif
+     << "  \"build_type\": \"" << bench::build_type() << "\",\n"
+     << "  \"validate_enabled\": "
+     << (bench::validate_enabled() ? "true" : "false") << ",\n"
      << "  \"modes\": [\n";
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];

@@ -1,5 +1,7 @@
 #include "mpi/task.hpp"
 
+#include <algorithm>
+
 #include "mpi/job.hpp"
 #include "util/assert.hpp"
 
@@ -33,10 +35,18 @@ Task::Task(Job& job, int rank, int size, cluster::Node& node, kern::CpuId cpu,
 
 void Task::launch() { node_.kernel().wake(*thread_, kern::kExternalActor); }
 
+std::vector<Task::Pending>::iterator Task::find_pending(std::uint64_t key) {
+  return std::find_if(mailbox_.begin(), mailbox_.end(),
+                      [key](const Pending& m) { return m.key == key; });
+}
+
 bool Task::try_consume(int src, std::uint64_t tag) {
-  const auto it = mailbox_.find(key_of(src, tag));
+  const auto it = find_pending(key_of(src, tag));
   if (it == mailbox_.end()) return false;
-  if (--it->second == 0) mailbox_.erase(it);
+  if (--it->count == 0) {
+    *it = mailbox_.back();  // order is irrelevant: lookups are by key
+    mailbox_.pop_back();
+  }
   return true;
 }
 
@@ -46,7 +56,11 @@ void Task::deposit(int src, std::uint64_t tag) {
   // annotation layer exists to catch.
   PASCHED_ASSERT_OWNED(owned_, "deposit");
   const std::uint64_t key = key_of(src, tag);
-  ++mailbox_[key];
+  const auto it = find_pending(key);
+  if (it != mailbox_.end())
+    ++it->count;
+  else
+    mailbox_.push_back(Pending{key, 1});
   if (wait_key_ != key) return;
   if (thread_->state() == kern::ThreadState::Blocked) {
     // Spin-block receive parked the task: demand-wake it on arrival.

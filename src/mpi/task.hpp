@@ -7,7 +7,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/node.hpp"
@@ -56,6 +55,11 @@ class Task final : public kern::ThreadClient {
            (tag & ((1ULL << 40) - 1));
   }
   [[nodiscard]] bool try_consume(int src, std::uint64_t tag);
+  struct Pending {
+    std::uint64_t key;
+    std::uint32_t count;
+  };
+  [[nodiscard]] std::vector<Pending>::iterator find_pending(std::uint64_t key);
 
   Job& job_;
   int rank_;
@@ -77,7 +81,11 @@ class Task final : public kern::ThreadClient {
   static constexpr std::uint64_t kNoWait = UINT64_MAX;
   std::uint64_t wait_key_ = kNoWait;
 
-  std::unordered_map<std::uint64_t, std::uint32_t> mailbox_;
+  // Arrived, not yet consumed messages, counted per key_of(src, tag). A
+  // flat table scanned linearly: a task has only a handful of keys
+  // outstanding, and the capacity persists, so once warm a delivery
+  // allocates nothing.
+  std::vector<Pending> mailbox_;
   std::array<sim::Time, kMaxChannels> open_mark_{};
 };
 

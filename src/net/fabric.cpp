@@ -71,7 +71,10 @@ Fabric::Fabric(sim::Engine& engine, FabricConfig cfg, sim::Rng rng)
 }
 
 Fabric::Fabric(sim::Router& router, FabricConfig cfg, sim::Rng rng, int nodes)
-    : router_(&router), cfg_(cfg), port_seed_base_(rng.next_u64()) {
+    : router_(&router),
+      cfg_(cfg),
+      port_seed_base_(rng.next_u64()),
+      nodes_(static_cast<std::size_t>(std::max(nodes, 0))) {
   check_config(cfg_);
   PASCHED_EXPECTS(nodes >= 1);
   PASCHED_EXPECTS_MSG(
@@ -92,7 +95,8 @@ Fabric::Port& Fabric::port(kern::NodeId src) {
     // source id, so which shard first sends does not change any stream.
     slot = std::make_unique<Port>(
         port_seed_base_ +
-        0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1));
+        0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1),
+        nodes_);
   }
   return *slot;
 }
@@ -142,10 +146,12 @@ void Fabric::send(kern::NodeId src, kern::NodeId dst, std::size_t bytes,
     depart = arrive_start + xfer - lat;  // so deliver_at lands after ingress
   }
   Time deliver_at = depart + lat;
-  const auto it = p.last_delivery.find(static_cast<std::uint32_t>(dst));
-  if (it != p.last_delivery.end() && deliver_at <= it->second)
-    deliver_at = it->second + Duration::ns(1);  // FIFO per pair
-  p.last_delivery[static_cast<std::uint32_t>(dst)] = deliver_at;
+  const auto d = static_cast<std::size_t>(dst);
+  // Growth only happens in classic mode, once per new destination.
+  if (d >= p.last_delivery.size()) p.last_delivery.resize(d + 1, kNoDelivery);
+  Time& last = p.last_delivery[d];
+  if (deliver_at <= last) deliver_at = last + Duration::ns(1);  // FIFO per pair
+  last = deliver_at;
   router_->post(src_shard, dst_shard, deliver_at, std::move(on_deliver));
 }
 

@@ -122,12 +122,16 @@ class Fabric {
   /// sends from different shards are isolated. Seeded as a pure function of
   /// the fabric seed and the source id — creation order does not matter.
   struct Port {
-    explicit Port(std::uint64_t seed) : rng(seed) {}
+    Port(std::uint64_t seed, std::size_t nodes)
+        : rng(seed), last_delivery(nodes, kNoDelivery) {}
     sim::Rng rng;
     FabricStats stats;
-    // FIFO watermark per destination: last scheduled delivery time.
-    std::unordered_map<std::uint32_t, sim::Time> last_delivery;
+    // FIFO watermark per destination node: last scheduled delivery time,
+    // kNoDelivery before the first. Sized to the node count when the
+    // fabric knows it (partitioned mode), so sends never reallocate it.
+    std::vector<sim::Time> last_delivery;
   };
+  static constexpr sim::Time kNoDelivery = sim::Time::from_ns(INT64_MIN);
 
   [[nodiscard]] Port& port(kern::NodeId src);
 
@@ -135,6 +139,7 @@ class Fabric {
   sim::Router* router_;
   FabricConfig cfg_;
   std::uint64_t port_seed_base_;
+  std::size_t nodes_ = 0;  // known node count; 0 in classic mode
   std::vector<std::unique_ptr<Port>> ports_;
   // Link-contention state: the time each node's egress/ingress link frees
   // up. Ingress couples senders cluster-wide — sequential mode only.

@@ -17,11 +17,13 @@ void Engine::grow_slab() {
   // Sanctioned amortized growth: every buffer the hot path pushes into is
   // (re)sized here, inside a cold allocation region, so the per-event code
   // never reallocates. free_/heap_/scratch capacities track the slot count
-  // — one heap entry and one free-list entry per slot is the worst case.
+  // — one heap entry and one free-list entry per slot is the worst case
+  // (a vacant root only exists while its slot is back on the free list).
   PASCHED_ALLOC_COLD_REGION();
   const std::size_t old = slots_.size();
   const std::size_t add = old == 0 ? 64 : old;  // one chunk, then doubling
   slots_.resize(old + add);
+  heap_pos_.resize(slots_.size(), kNoHeapPos);
   free_.reserve(slots_.size());
   heap_.reserve(slots_.size());
   tied_scratch_.reserve(slots_.size());
@@ -39,57 +41,70 @@ void Engine::grow_fire_log() {
                                               : fire_log_.capacity() * 2);
 }
 
-PASCHED_HOT void Engine::heap_place(std::size_t pos) noexcept {
-  slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
-}
-
-PASCHED_HOT void Engine::sift_up(std::size_t pos) noexcept {
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!heap_before(heap_[pos], heap_[parent])) break;
-    std::swap(heap_[pos], heap_[parent]);
-    heap_place(pos);
-    pos = parent;
+PASCHED_HOT void Engine::sift_up(std::size_t hole,
+                                 const HeapItem& item) noexcept {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!heap_before(item, heap_[parent])) break;
+    heap_place(hole, heap_[parent]);
+    hole = parent;
   }
-  heap_place(pos);
+  heap_place(hole, item);
 }
 
-PASCHED_HOT void Engine::sift_down(std::size_t pos) noexcept {
+PASCHED_HOT void Engine::sift_down(std::size_t hole,
+                                   const HeapItem& item) noexcept {
   const std::size_t n = heap_.size();
   for (;;) {
-    std::size_t best = pos;
-    const std::size_t l = 2 * pos + 1;
-    const std::size_t r = 2 * pos + 2;
-    if (l < n && heap_before(heap_[l], heap_[best])) best = l;
-    if (r < n && heap_before(heap_[r], heap_[best])) best = r;
-    if (best == pos) break;
-    std::swap(heap_[pos], heap_[best]);
-    heap_place(pos);
-    pos = best;
+    const std::size_t first = kArity * hole + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c)
+      if (heap_before(heap_[c], heap_[best])) best = c;
+    if (!heap_before(heap_[best], item)) break;
+    heap_place(hole, heap_[best]);
+    hole = best;
   }
-  heap_place(pos);
+  heap_place(hole, item);
 }
 
 PASCHED_HOT void Engine::heap_push(const HeapItem& item) noexcept {
   heap_.push_back(item);  // never reallocates: capacity from grow_slab()
-  sift_up(heap_.size() - 1);
+  sift_up(heap_.size() - 1, item);
 }
 
 PASCHED_HOT void Engine::heap_remove_at(std::size_t pos) noexcept {
   PASCHED_ASSERT(pos < heap_.size());
-  slots_[heap_[pos].slot].heap_pos = kNoHeapPos;
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    heap_.pop_back();
-    heap_place(pos);
-    // The replacement can violate the heap property in at most one
-    // direction; the other call is a no-op.
-    sift_down(pos);
-    sift_up(pos);
-  } else {
-    heap_.pop_back();
-  }
+  heap_pos_[heap_[pos].slot] = kNoHeapPos;
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  // The last entry refills the hole; it can violate the heap property in
+  // at most one direction. A vacant root never moves: its key is below
+  // every entry, so sift_up stops beneath it.
+  if (pos > 0 && heap_before(last, heap_[(pos - 1) / kArity]))
+    sift_up(pos, last);
+  else
+    sift_down(pos, last);
+}
+
+PASCHED_HOT void Engine::remove_vacant_root() noexcept {
+  root_vacant_ = false;
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+PASCHED_HOT const Engine::HeapItem* Engine::peek() noexcept {
+  if (root_vacant_) remove_vacant_root();
+  if (heap_.empty()) return nullptr;
+  const HeapItem& top = heap_.front();
+  // Indexed removal leaves no stale entries; a dead root means the heap
+  // and the slot table disagree.
+  PASCHED_CHECK_MSG(slots_[top.slot].gen == top.gen && slots_[top.slot].armed,
+                    "stale heap entry at the root");
+  return &top;
 }
 
 PASCHED_HOT std::uint32_t Engine::acquire_slot() {
@@ -107,7 +122,7 @@ PASCHED_HOT void Engine::release_slot(std::uint32_t idx) noexcept {
   ++s.gen;  // invalidate any outstanding EventIds
   s.armed = false;
   s.held = false;
-  s.heap_pos = kNoHeapPos;
+  heap_pos_[idx] = kNoHeapPos;
   free_.push_back(idx);  // never reallocates: capacity from grow_slab()
 }
 
@@ -118,7 +133,15 @@ PASCHED_HOT EventId Engine::schedule_at(Time t, Callback fn) {
   Slot& s = slots_[idx];
   s.fn = std::move(fn);
   s.armed = true;
-  heap_push(HeapItem{t, seq_++, idx, s.gen});
+  const HeapItem item{t, seq_++, idx, s.gen};
+  if (root_vacant_) {
+    // Fire-and-re-arm: any key may replace the root; one sift restores
+    // the heap.
+    root_vacant_ = false;
+    sift_down(0, item);
+  } else {
+    heap_push(item);
+  }
   ++live_;
   return EventId{idx, s.gen};
 }
@@ -139,7 +162,7 @@ PASCHED_HOT void Engine::cancel(EventId id) {
   // EventId), eager at the heap layer: the position backlink makes the
   // removal a targeted O(log n) fix-up, so no stale entries accumulate and
   // no compaction pass exists.
-  heap_remove_at(s.heap_pos);
+  heap_remove_at(heap_pos_[id.slot]);
   --live_;
   release_slot(id.slot);
 }
@@ -176,49 +199,48 @@ PASCHED_HOT void Engine::fire_item(const HeapItem& item) {
 }
 
 PASCHED_HOT bool Engine::fire_next() {
-  while (!heap_.empty()) {
-    const HeapItem top = heap_.front();
-    {
-      // Defensive only: indexed removal leaves no stale entries. Kept so a
-      // regression degrades to the legacy skip-on-pop behavior instead of
-      // firing a dead slot.
-      const Slot& s = slots_[top.slot];
-      if (s.gen != top.gen || !s.armed) {
-        heap_remove_at(0);
-        continue;
-      }
-    }
-    PASCHED_ASSERT(top.t >= now_);
-    if (tie_break_ != nullptr) return fire_tied();
-    heap_remove_at(0);
-    // Causality: pops must come off the heap in strictly increasing (t, seq)
-    // order — a regression here reorders same-timestamp events and silently
-    // breaks the engine's FIFO tie-break guarantee. (With a TieBreak
-    // installed same-t reordering is intentional; fire_tied() checks only
-    // time monotonicity.)
-    PASCHED_CHECK_MSG(
-        top.t > last_fired_t_ ||
-            (top.t == last_fired_t_ && top.seq > last_fired_seq_),
-        "event fired out of (t, seq) order");
-    fire_item(top);
-    return true;
-  }
-  return false;
+  const HeapItem* top = peek();
+  if (top == nullptr) return false;
+  fire_root(*top);
+  return true;
 }
 
-PASCHED_HOT bool Engine::fire_tied() {
-  // Precondition: heap top is live. Drain every live entry tied at the
-  // minimum timestamp; indexed pops deliver them in increasing seq order.
+PASCHED_HOT void Engine::fire_root(const HeapItem& top) {
+  PASCHED_ASSERT(top.t >= now_);
+  if (tie_break_ != nullptr) return fire_tied();
+  // Causality: pops must come off the heap in strictly increasing (t, seq)
+  // order — a regression here reorders same-timestamp events and silently
+  // breaks the engine's FIFO tie-break guarantee. (With a TieBreak
+  // installed same-t reordering is intentional; fire_tied() checks only
+  // time monotonicity.)
+  PASCHED_CHECK_MSG(
+      top.t > last_fired_t_ ||
+          (top.t == last_fired_t_ && top.seq > last_fired_seq_),
+      "event fired out of (t, seq) order");
+  // The root stays in place as a vacant entry while its handler runs (see
+  // root_vacant_); whatever the handler leaves unfilled is removed on the
+  // way out, also when it throws.
+  struct VacancyGuard {
+    Engine& e;
+    ~VacancyGuard() {
+      if (e.root_vacant_) e.remove_vacant_root();
+    }
+  };
+  const HeapItem item = top;
+  root_vacant_ = true;
+  const VacancyGuard guard{*this};
+  fire_item(item);
+}
+
+PASCHED_HOT void Engine::fire_tied() {
+  // Precondition: heap top is live. Drain every entry tied at the minimum
+  // timestamp; indexed pops deliver them in increasing seq order.
   const Time t0 = heap_.front().t;
   tied_scratch_.clear();
   while (!heap_.empty() && heap_.front().t == t0) {
-    const HeapItem top = heap_.front();
+    tied_scratch_.push_back(heap_.front());  // capacity from grow_slab()
     heap_remove_at(0);
-    const Slot& s = slots_[top.slot];
-    if (s.gen != top.gen || !s.armed) continue;  // defensive, see fire_next
-    tied_scratch_.push_back(top);  // capacity from grow_slab()
   }
-  PASCHED_ASSERT(!tied_scratch_.empty());
   std::size_t choice = 0;
   if (tied_scratch_.size() > 1) {
     cands_scratch_.clear();
@@ -242,15 +264,14 @@ PASCHED_HOT bool Engine::fire_tied() {
   }
   const HeapItem& chosen = tied_scratch_[choice];
   {
-    // Defensive (reachable only with validation off and a strategy that
-    // cancelled a held candidate): treat a dead chosen entry as stale.
+    // Reachable only with validation off and a strategy that cancelled a
+    // held candidate: a dead chosen entry does not fire.
     const Slot& s = slots_[chosen.slot];
-    if (s.gen != chosen.gen || !s.armed) return true;
+    if (s.gen != chosen.gen || !s.armed) return;
   }
   PASCHED_CHECK_MSG(chosen.t >= last_fired_t_,
                     "event fired with a receding timestamp");
   fire_item(chosen);
-  return true;
 }
 
 void Engine::run() {
@@ -265,28 +286,12 @@ bool Engine::run_until(Time deadline) {
   PASCHED_EXPECTS(deadline >= now_);
   stopped_ = false;
   while (!stopped_) {
-    // Peek: find the next live event time without firing.
-    bool fired = false;
-    while (!heap_.empty()) {
-      const HeapItem& top = heap_.front();
-      const Slot& s = slots_[top.slot];
-      if (s.gen != top.gen || !s.armed) {  // defensive, see fire_next
-        heap_remove_at(0);
-        continue;
-      }
-      if (top.t > deadline) {
-        advance_clock(deadline);
-        return true;
-      }
-      fired = fire_next();
-      break;
+    const HeapItem* top = peek();
+    if (top == nullptr || top->t > deadline) {
+      advance_clock(deadline);
+      return true;
     }
-    if (!fired) {
-      if (heap_.empty()) {
-        advance_clock(deadline);
-        return true;
-      }
-    }
+    fire_root(*top);
   }
   return false;
 }
@@ -294,16 +299,9 @@ bool Engine::run_until(Time deadline) {
 PASCHED_HOT void Engine::run_before(Time end) {
   PASCHED_ALLOC_HOT_SCOPE("Engine::run_before");
   PASCHED_EXPECTS(end >= now_);
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.gen != top.gen || !s.armed) {  // defensive, see fire_next
-      heap_remove_at(0);
-      continue;
-    }
-    if (top.t >= end) break;
-    fire_next();
-  }
+  for (const HeapItem* top = peek(); top != nullptr && top->t < end;
+       top = peek())
+    fire_root(*top);
   advance_clock(end);
 }
 
@@ -314,6 +312,7 @@ std::uint64_t Engine::fires_at_or_after(Time t) const noexcept {
 
 void Engine::drain() {
   heap_.clear();
+  root_vacant_ = false;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].armed) {
       --live_;
@@ -324,22 +323,15 @@ void Engine::drain() {
 }
 
 PASCHED_HOT Time Engine::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.gen == top.gen && s.armed) return top.t;
-    heap_remove_at(0);  // defensive, see fire_next
-  }
-  return Time::max();
+  const HeapItem* top = peek();
+  return top != nullptr ? top->t : Time::max();
 }
 
 std::uint64_t Engine::pending_hash() const {
   std::vector<std::int64_t> times;
   times.reserve(live_);
-  for (const HeapItem& h : heap_) {
-    const Slot& s = slots_[h.slot];
-    if (s.gen == h.gen && s.armed) times.push_back(h.t.count());
-  }
+  for (std::size_t p = root_vacant_ ? 1 : 0; p < heap_.size(); ++p)
+    times.push_back(heap_[p].t.count());
   std::sort(times.begin(), times.end());
   std::uint64_t state = 0x9e3779b97f4a7c15ULL ^ times.size();
   std::uint64_t hash = splitmix64(state);
@@ -373,12 +365,18 @@ void Engine::check_consistent() const {
   // The indexed heap holds exactly one current-generation entry per armed
   // slot, position backlinks agree, the (t, seq) heap property holds, and —
   // since cancel() removes eagerly — no stale entries exist at all:
-  // queue_footprint() == events_pending() between events.
-  PASCHED_CHECK_ALWAYS_MSG(heap_.size() == live_,
+  // queue_footprint() == events_pending(). A vacant root (only inside a
+  // handler fired by fire_next()) belongs to no slot and is skipped.
+  PASCHED_CHECK_ALWAYS_MSG(heap_pos_.size() == slots_.size(),
+                           "heap_pos_ does not cover the slot table");
+  PASCHED_CHECK_ALWAYS_MSG(!root_vacant_ || !heap_.empty(),
+                           "vacant root flagged on an empty heap");
+  const std::size_t first = root_vacant_ ? 1 : 0;
+  PASCHED_CHECK_ALWAYS_MSG(heap_.size() - first == live_,
                            "queue footprint disagrees with pending events "
                            "(stale entries survived indexed removal)");
   std::vector<std::uint32_t> refs(slots_.size(), 0);
-  for (std::size_t p = 0; p < heap_.size(); ++p) {
+  for (std::size_t p = first; p < heap_.size(); ++p) {
     const HeapItem& h = heap_[p];
     PASCHED_CHECK_ALWAYS_MSG(h.slot < slots_.size(),
                              "heap entry references an out-of-range slot");
@@ -387,13 +385,13 @@ void Engine::check_consistent() const {
                              "stale heap entry at position " +
                                  std::to_string(p));
     PASCHED_CHECK_ALWAYS_MSG(
-        s.heap_pos == p,
+        heap_pos_[h.slot] == p,
         "slot " + std::to_string(h.slot) + " heap_pos backlink says " +
-            std::to_string(s.heap_pos) + ", entry is at " +
+            std::to_string(heap_pos_[h.slot]) + ", entry is at " +
             std::to_string(p));
     if (p > 0)
       PASCHED_CHECK_ALWAYS_MSG(
-          !heap_before(heap_[p], heap_[(p - 1) / 2]),
+          !heap_before(heap_[p], heap_[(p - 1) / kArity]),
           "heap property violated at position " + std::to_string(p));
     ++refs[h.slot];
   }
@@ -404,7 +402,7 @@ void Engine::check_consistent() const {
         "slot " + std::to_string(i) + " has " + std::to_string(refs[i]) +
             " live heap entries, expected " + std::to_string(expected));
     if (!slots_[i].armed)
-      PASCHED_CHECK_ALWAYS_MSG(slots_[i].heap_pos == kNoHeapPos,
+      PASCHED_CHECK_ALWAYS_MSG(heap_pos_[i] == kNoHeapPos,
                                "disarmed slot " + std::to_string(i) +
                                    " still carries a heap position");
   }

@@ -1,7 +1,8 @@
-// The discrete-event simulation engine: a time-ordered event queue with
-// stable FIFO tie-breaking and O(1) cancellation. Everything in pasched —
-// kernel ticks, IPIs, CPU burst completions, network deliveries, daemon
-// timers — is an event scheduled here.
+// The discrete-event simulation engine: a time-ordered event queue (an
+// indexed 4-ary min-heap on (t, seq)) with stable FIFO tie-breaking and
+// O(log n) cancellation. Everything in pasched — kernel ticks, IPIs, CPU
+// burst completions, network deliveries, daemon timers — is an event
+// scheduled here.
 //
 // Same-timestamp ordering is a *choice point*: with no strategy installed
 // the engine keeps its historical FIFO guarantee (scheduling order), but a
@@ -107,14 +108,14 @@ class Engine {
   /// whenever no TieBreak::pick() is in flight — the regression test for
   /// the cancel() leak asserts exactly that.
   [[nodiscard]] std::size_t queue_footprint() const noexcept {
-    return heap_.size();
+    return heap_.size() - (root_vacant_ ? 1 : 0);
   }
 
   /// Fires exactly one event. Returns false if the queue is empty.
   PASCHED_HOT bool step() { return fire_next(); }
 
-  /// Timestamp of the next live event, or Time::max() if none. Prunes stale
-  /// (cancelled) heap entries as a side effect; does not advance now().
+  /// Timestamp of the next pending event, or Time::max() if none. Does not
+  /// advance now().
   [[nodiscard]] Time next_event_time();
 
   /// Requests that run()/run_until() return after the current event.
@@ -177,14 +178,13 @@ class Engine {
   /// Sentinel heap position for a slot with no heap entry (free, held by a
   /// TieBreak::pick(), or mid-fire).
   static constexpr std::uint32_t kNoHeapPos = UINT32_MAX;
+  /// Heap arity: a 4-ary heap is half as deep as a binary one, and a
+  /// node's four children are adjacent (96 bytes).
+  static constexpr std::size_t kArity = 4;
 
   struct Slot {
     Callback fn;
     std::uint32_t gen = 0;
-    // Index of this slot's entry in heap_ while armed and not held — the
-    // backlink that makes cancel() an O(log n) targeted removal instead of
-    // a tombstone that compaction must sweep later.
-    std::uint32_t heap_pos = kNoHeapPos;
     bool armed = false;
     // True while the slot sits in a TieBreak::pick() candidate list: off
     // the heap but not yet fired or re-queued. Cancellation must not touch
@@ -216,14 +216,25 @@ class Engine {
   // (PASCHED_ALLOC_COLD_REGION).
   void grow_slab();
   void grow_fire_log();
-  // Indexed-heap primitives: every move re-anchors Slot::heap_pos.
-  void heap_place(std::size_t pos) noexcept;
-  void sift_up(std::size_t pos) noexcept;
-  void sift_down(std::size_t pos) noexcept;
+  // Indexed-heap primitives. The sifts are hole-based: `item` travels in
+  // registers while displaced entries move one level, and each move writes
+  // its heap_pos_ backlink once.
+  void heap_place(std::size_t pos, const HeapItem& item) noexcept {
+    heap_[pos] = item;
+    heap_pos_[item.slot] = static_cast<std::uint32_t>(pos);
+  }
+  void sift_up(std::size_t hole, const HeapItem& item) noexcept;
+  void sift_down(std::size_t hole, const HeapItem& item) noexcept;
   void heap_push(const HeapItem& item) noexcept;
   void heap_remove_at(std::size_t pos) noexcept;
+  // Drops the vacant root a handler left unfilled (see root_vacant_).
+  void remove_vacant_root() noexcept;
+  // The root entry, or nullptr when the queue is empty. Retires a vacant
+  // root first, so this is safe from inside a handler too.
+  const HeapItem* peek() noexcept;
   bool fire_next();
-  bool fire_tied();
+  void fire_root(const HeapItem& top);
+  void fire_tied();
   void fire_item(const HeapItem& item);
   // Every clock advance goes through here so processed_before_now_ stays
   // exact: when now() moves strictly forward, everything processed so far
@@ -238,6 +249,18 @@ class Engine {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapItem> heap_;
+  // Index of each armed, unheld slot's entry in heap_ (kNoHeapPos
+  // otherwise) — the backlink that makes cancel() a targeted O(log n)
+  // removal. A dense 4-byte array beside the slot table, so the sifts'
+  // backlink writes stay in a few cache lines.
+  std::vector<std::uint32_t> heap_pos_;
+  // True while a handler fired by fire_next() runs and has not scheduled
+  // anything yet: heap_[0] still holds the fired entry's (t, seq), which is
+  // no larger than any pending key, but it belongs to no slot. The
+  // handler's first schedule_at() overwrites it and sifts down once (fire
+  // and re-arm cost one sift, not two); otherwise it is removed when the
+  // handler returns or throws.
+  bool root_vacant_ = false;
   // Reused scratch for fire_tied(): cleared per call, capacity persists so
   // steady-state tie resolution is allocation-free (grown via grow_slab /
   // reserve_cold only).
