@@ -1,6 +1,10 @@
 #include "sim/planner.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "check/check.hpp"
 #include "util/assert.hpp"
@@ -10,11 +14,10 @@ namespace pasched::sim {
 namespace {
 
 // Idle shards publish Time::max(); adding a lookahead to that must saturate,
-// not wrap.
+// not wrap. `d` is never negative here.
 [[nodiscard]] Time sat_add(Time t, Duration d) {
-  if (t == Time::max()) return t;
-  const Time r = t + d;
-  return r < t ? Time::max() : r;
+  if (t.count() > Time::max().count() - d.count()) return Time::max();
+  return t + d;
 }
 
 [[nodiscard]] Duration shrink(Duration full, std::int64_t num,
@@ -22,6 +25,67 @@ namespace {
   Duration q = full * num / den;
   if (q < Duration::ns(1)) q = Duration::ns(1);
   return q;
+}
+
+// Distinct quanta a planner keeps bounds for. The race fuzzer draws from
+// eight buckets and unperturbed runs use one; a caller cycling through more
+// only pays a rebuild.
+constexpr std::size_t kMaxCachedQuanta = 16;
+
+// Marks a destination row whose off-diagonal bounds are not all equal.
+constexpr Duration kRowVaries = Duration::ns(-1);
+
+// The common off-diagonal value of destination row `dst` of the n x n
+// destination-major matrix `m`, or kRowVaries.
+[[nodiscard]] Duration uniform_value(const std::vector<Duration>& m,
+                                     std::size_t n, std::size_t dst) {
+  Duration common = kRowVaries;
+  for (std::size_t src = 0; src < n; ++src) {
+    if (src == dst) continue;
+    const Duration d = m[dst * n + src];
+    if (common == kRowVaries) common = d;
+    else if (d != common) return kRowVaries;
+  }
+  return common;
+}
+
+// out[s] = min over p != s of (x[p] + m[s][p]), saturating at Time::max().
+// Times and bounds are non-negative int64, so their sum never wraps in
+// uint64 and saturation is a single clamp at the end. A uniform row (every
+// off-diagonal bound c) reduces to c + min over p != s of x[p], which the
+// two smallest inputs answer in O(1) — flat fabrics make every row uniform.
+void min_plus(const std::vector<Duration>& m,
+              const std::vector<Duration>& uniform, const Time* x,
+              std::size_t n, Time* out) {
+  using U = std::uint64_t;
+  const auto u = [](auto v) { return static_cast<U>(v.count()); };
+  U lo = std::numeric_limits<U>::max();
+  U hi = lo;
+  std::size_t at = n;
+  for (std::size_t p = 0; p < n; ++p) {
+    const U v = u(x[p]);
+    if (v < lo) {
+      hi = lo;
+      lo = v;
+      at = p;
+    } else if (v < hi) {
+      hi = v;
+    }
+  }
+  const U cap = u(Time::max());
+  for (std::size_t s = 0; s < n; ++s) {
+    U best = std::numeric_limits<U>::max();
+    if (uniform[s] != kRowVaries) {
+      best = (s == at ? hi : lo) + u(uniform[s]);
+    } else {
+      const Duration* row = &m[s * n];
+      for (std::size_t p = 0; p < s; ++p)
+        best = std::min(best, u(x[p]) + u(row[p]));
+      for (std::size_t p = s + 1; p < n; ++p)
+        best = std::min(best, u(x[p]) + u(row[p]));
+    }
+    out[s] = Time::from_ns(static_cast<std::int64_t>(std::min(best, cap)));
+  }
 }
 
 }  // namespace
@@ -57,9 +121,52 @@ WindowPlanner::WindowPlanner(PairLookahead la, PlannerMode mode, int batch)
 #endif
 }
 
+const WindowPlanner::Quantum& WindowPlanner::quantum(std::int64_t num,
+                                                     std::int64_t den) {
+  for (const Quantum& q : quanta_)
+    if (q.num == num && q.den == den) return q;
+  if (quanta_.size() == kMaxCachedQuanta) quanta_.clear();
+  const std::size_t S = static_cast<std::size_t>(la_.shards);
+  Quantum q;
+  q.num = num;
+  q.den = den;
+  // Effective (possibly fuzz-shrunk) pair bounds. Shrinking claims *less*
+  // lookahead than guaranteed, which is always conservative; the engine's
+  // ring-drain caps keep using the full bounds the events were stamped with.
+  q.eff.resize(S * S);
+  for (std::size_t dst = 0; dst < S; ++dst)
+    for (std::size_t src = 0; src < S; ++src) {
+      const Duration b = la_.bounds[src * S + dst];
+      q.eff[dst * S + src] =
+          b > Duration::zero() ? shrink(b, num, den) : Duration::zero();
+    }
+  // Floyd–Warshall closure: reach[dst][src] is the cheapest chain of bounds
+  // from src to dst, i.e. how far ahead of src's next event any work it
+  // forwards (directly or through other shards) can first reach dst.
+  q.reach = q.eff;
+  for (std::size_t k = 0; k < S; ++k) {
+    const Duration* via = &q.reach[k * S];  // src -> k
+    for (std::size_t dst = 0; dst < S; ++dst) {
+      Duration* row = &q.reach[dst * S];  // src -> dst
+      const Duration hop = row[k];        // k -> dst
+      for (std::size_t src = 0; src < S; ++src)
+        if (via[src] <= Duration::max() - hop)
+          row[src] = std::min(row[src], via[src] + hop);
+    }
+  }
+  q.eff_uniform.resize(S);
+  q.reach_uniform.resize(S);
+  for (std::size_t dst = 0; dst < S; ++dst) {
+    q.eff_uniform[dst] = uniform_value(q.eff, S, dst);
+    q.reach_uniform[dst] = uniform_value(q.reach, S, dst);
+  }
+  quanta_.push_back(std::move(q));
+  return quanta_.back();
+}
+
 void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
                          std::int64_t quantum_num, std::int64_t quantum_den,
-                         RoundPlan& out) const {
+                         RoundPlan& out) {
   const int S = la_.shards;
   PASCHED_EXPECTS(next_t.size() == static_cast<std::size_t>(S));
   out.shards = S;
@@ -87,69 +194,36 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
     return;
   }
 
-  // Effective (possibly fuzz-shrunk) pair bounds. Shrinking claims *less*
-  // lookahead than guaranteed, which is always conservative; the engine's
-  // ring-drain caps keep using the full bounds the events were stamped with.
-  std::vector<Duration> eff(la_.bounds.size());
-  for (std::size_t i = 0; i < eff.size(); ++i)
-    eff[i] = la_.bounds[i] > Duration::zero()
-                 ? shrink(la_.bounds[i], quantum_num, quantum_den)
-                 : Duration::zero();
-  const auto eff_at = [&](int src, int dst) {
-    return eff[static_cast<std::size_t>(src) * static_cast<std::size_t>(S) +
-               static_cast<std::size_t>(dst)];
-  };
+  const Quantum& q = quantum(quantum_num, quantum_den);
+  const std::size_t n = static_cast<std::size_t>(S);
 
-  // Null-message fixpoint: the earliest instant each shard could execute
-  // anything, counting work forwarded transitively through other shards.
-  // Values only ever decrease and are bounded below by t0 + 1ns, so the
-  // sweep converges in at most S passes (each pass settles one more shard
-  // of the shortest-path tree).
-  std::vector<Time> horizon(next_t);
-  for (int pass = 0; pass < S; ++pass) {
-    bool changed = false;
-    for (int s = 0; s < S; ++s) {
-      Time e = horizon[static_cast<std::size_t>(s)];
-      for (int p = 0; p < S; ++p) {
-        if (p == s) continue;
-        e = std::min(e, sat_add(horizon[static_cast<std::size_t>(p)],
-                                eff_at(p, s)));
-      }
-      if (e < horizon[static_cast<std::size_t>(s)]) {
-        horizon[static_cast<std::size_t>(s)] = e;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  // Null-message fixpoint in one pass over the closure: the earliest
+  // instant each shard could execute anything, counting work forwarded
+  // transitively through other shards (D_ss = 0 keeps its own next event).
+  horizon_.resize(n);
+  min_plus(q.reach, q.reach_uniform, next_t.data(), n, horizon_.data());
+  for (std::size_t s = 0; s < n; ++s)
+    horizon_[s] = std::min(horizon_[s], next_t[s]);
 
   // Chain up to `batch` windows: each next end is the earliest any incoming
   // neighbor could deliver past its previous end. Rows are pointwise
   // nondecreasing, every entry clamps at the deadline, and W(1)_s >= t0 +
   // 1ns guarantees the round makes progress.
-  out.ends.resize(static_cast<std::size_t>(batch_) *
-                  static_cast<std::size_t>(S));
-  std::vector<Time> prev = horizon;  // W(0) = E
+  out.ends.resize(static_cast<std::size_t>(batch_) * n);
+  const Time* prev = horizon_.data();  // W(0) = E
   for (int j = 1; j <= batch_; ++j) {
+    Time* row = &out.ends[static_cast<std::size_t>(j - 1) * n];
+    min_plus(q.eff, q.eff_uniform, prev, n, row);
     bool moved = false;
-    for (int s = 0; s < S; ++s) {
-      Time w = Time::max();
-      for (int p = 0; p < S; ++p) {
-        if (p == s) continue;
-        w = std::min(
-            w, sat_add(prev[static_cast<std::size_t>(p)], eff_at(p, s)));
-      }
-      w = std::min(w, deadline);
-      out.ends[static_cast<std::size_t>(j - 1) * static_cast<std::size_t>(S) +
-               static_cast<std::size_t>(s)] = w;
-      if (w > prev[static_cast<std::size_t>(s)]) moved = true;
+    for (std::size_t s = 0; s < n; ++s) {
+      row[s] = std::min(row[s], deadline);
+      if (row[s] > prev[s]) moved = true;
     }
     // A row identical to its predecessor means every shard is pinned at the
     // deadline — further windows would be no-ops, so stop the chain.
     if (j > 1 && !moved) break;
     out.length = j;
-    for (int s = 0; s < S; ++s)
-      prev[static_cast<std::size_t>(s)] = out.end_of(j, s);
+    prev = row;
   }
 }
 

@@ -21,6 +21,15 @@
 //     W(1)_s = min_{p != s} (E_p + L_ps)
 //     W(j)_s = min_{p != s} (W(j-1)_p + L_ps)
 //
+// The fixpoint is evaluated in one pass as E_s = min_p (next_t_p + D_ps),
+// where D is the shortest-path closure of the bound matrix (D_ss = 0). The
+// effective (quantum-shrunk) bounds and their closure are built lazily, on
+// the first plan() with a given quantum, and cached per quantum in a
+// destination-major layout, so every min over sources walks one contiguous
+// row and a steady-state plan() allocates nothing and divides nothing. A
+// row whose off-diagonal bounds are all equal (every row, on a flat fabric)
+// costs O(1) per window instead of O(shards).
+//
 // Every window end is a pure function of the round's published inputs, so
 // all shards compute the identical schedule independently — no coordinator
 // and no timing dependence, which is what keeps --parallel=1 and
@@ -121,19 +130,41 @@ class WindowPlanner {
   /// drained into the engines). Window spans may be shrunk to
   /// `quantum_num/quantum_den` of each lookahead bound (>= 1 ns) — the
   /// race-fuzzer's perturbation seam; shrinking is always conservative.
-  /// Pure: identical inputs produce the identical plan.
+  /// Identical inputs produce the identical plan; the planner's own state is
+  /// only a cache of quantum-derived bounds and scratch rows, so calls must
+  /// not overlap (the engine plans in the round barrier's completion step).
   void plan(const std::vector<Time>& next_t, Time deadline,
             std::int64_t quantum_num, std::int64_t quantum_den,
-            RoundPlan& out) const;
+            RoundPlan& out);
 
   [[nodiscard]] PlannerMode mode() const noexcept { return mode_; }
   [[nodiscard]] int batch() const noexcept { return batch_; }
   [[nodiscard]] const PairLookahead& pairs() const noexcept { return la_; }
 
  private:
+  /// The bounds one window quantum plans with, destination-major: entry
+  /// [dst * shards + src], so the min over sources for one destination is a
+  /// contiguous row.
+  struct Quantum {
+    std::int64_t num = 1;
+    std::int64_t den = 1;
+    std::vector<Duration> eff;    ///< shrunk pair bounds, diagonal zero
+    std::vector<Duration> reach;  ///< shortest-path closure of eff, D_ss = 0
+    /// Per destination: the value every off-diagonal entry of its eff
+    /// (reach) row shares, or a negative marker when they differ. A uniform
+    /// row's min over sources needs only the two smallest inputs.
+    std::vector<Duration> eff_uniform;
+    std::vector<Duration> reach_uniform;
+  };
+
+  /// The cached bounds for `num/den`, built on first use.
+  [[nodiscard]] const Quantum& quantum(std::int64_t num, std::int64_t den);
+
   PairLookahead la_;
   PlannerMode mode_;
   int batch_;
+  std::vector<Quantum> quanta_;
+  std::vector<Time> horizon_;  // scratch: the fixpoint E, i.e. W(0)
 };
 
 }  // namespace pasched::sim

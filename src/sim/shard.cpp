@@ -55,7 +55,19 @@ namespace {
 inline constexpr std::int64_t kHorizonUnset =
     std::numeric_limits<std::int64_t>::min();
 
+// Single-writer counter increment (see ShardedEngine::ShardCounters): no
+// other thread writes `c` concurrently, so no lock-prefixed RMW is needed.
+void bump(std::atomic<std::uint64_t>& c) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+int ShardedEngine::inbound_mu_site() {
+  static const int site = util::register_seam_site(
+      "ShardedEngine.inbound_mu", util::SeamKind::Mutex);
+  return site;
+}
 
 ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
     : lookahead_(lookahead), wrapup_mu_(wrapup_mu_site()) {
@@ -76,9 +88,11 @@ ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
     engines_.back()->arm_fire_log();
   }
   const std::size_t n = static_cast<std::size_t>(shards);
-  rings_ = std::vector<util::CacheAligned<std::atomic<PairRing*>>>(n * n);
+  rings_.resize(n * n);
+  inbound_ = std::vector<util::CacheAligned<InboundList>>(n);
+  for (auto& in : inbound_) in.v.entries.resize(n);
   arenas_ = std::vector<util::CacheAligned<ShardArena>>(n);
-  post_seq_.assign(n, util::CacheAligned<std::uint64_t>{0});
+  counters_ = std::vector<util::CacheAligned<ShardCounters>>(n);
   next_t_.assign(n, util::CacheAligned<Time>{Time::max()});
   horizon_ns_ = std::vector<util::CacheAligned<std::atomic<std::int64_t>>>(n);
   for (auto& h : horizon_ns_)
@@ -88,10 +102,7 @@ ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
       kDefaultWindowBatch);
 }
 
-ShardedEngine::~ShardedEngine() {
-  drain();
-  for (auto& slot : rings_) delete slot.v.load(std::memory_order_relaxed);
-}
+ShardedEngine::~ShardedEngine() { drain(); }
 
 void ShardedEngine::set_pair_lookahead(PairLookahead la) {
   PASCHED_EXPECTS_MSG(la.shards == partitions(),
@@ -116,28 +127,41 @@ PlannerStats ShardedEngine::planner_stats() const {
   st.rounds = rounds_;
   st.windows = windows_;
   st.final_rounds = final_rounds_;
-  st.coalesced = coalesced_.load(std::memory_order_relaxed);
-  st.ring_posts = ring_posts_.load(std::memory_order_relaxed);
-  st.ring_overflows = ring_overflows_.load(std::memory_order_relaxed);
+  for (const auto& c : counters_) {
+    st.coalesced += c.v.coalesced.load(std::memory_order_relaxed);
+    st.ring_posts += c.v.ring_posts.load(std::memory_order_relaxed);
+    st.ring_overflows += c.v.ring_overflows.load(std::memory_order_relaxed);
+  }
   return st;
 }
 
+std::vector<int> ShardedEngine::inbound_sources(int dst) const {
+  const InboundList& in = inbound_[static_cast<std::size_t>(dst)].v;
+  const int n = in.n.load(std::memory_order_acquire);
+  std::vector<int> out;
+  for (int i = 0; i < n; ++i)
+    out.push_back(in.entries[static_cast<std::size_t>(i)].src);
+  return out;
+}
+
 ShardedEngine::PairRing& ShardedEngine::ring_for(int src, int dst) {
-  auto& slot = rings_[static_cast<std::size_t>(src) * engines_.size() +
-                      static_cast<std::size_t>(dst)]
-                   .v;
-  PairRing* r = slot.load(std::memory_order_acquire);
-  if (r != nullptr) return *r;
+  std::unique_ptr<PairRing>& slot =
+      rings_[static_cast<std::size_t>(src) * engines_.size() +
+             static_cast<std::size_t>(dst)];
+  if (slot != nullptr) return *slot;
   // First contact on this producer/consumer pair: a one-time allocation,
   // amortized to zero over the run (rings are never torn down mid-run).
   PASCHED_ALLOC_COLD_REGION();
-  auto* fresh = new PairRing(ring_capacity_, ring_overflow_site());
-  PairRing* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh,
-                                   std::memory_order_acq_rel))
-    return *fresh;
-  delete fresh;  // another producer won the install race
-  return *expected;
+  slot = std::make_unique<PairRing>(ring_capacity_, ring_overflow_site());
+  // List it for the consumer before the first push: the release store below
+  // happens before this worker's next horizon publish (or the round
+  // barrier), which is what the consumer acquires before draining.
+  InboundList& in = inbound_[static_cast<std::size_t>(dst)].v;
+  const std::scoped_lock lk(in.mu);
+  const int k = in.n.load(std::memory_order_relaxed);
+  in.entries[static_cast<std::size_t>(k)] = InboundList::Entry{src, slot.get()};
+  in.n.store(k + 1, std::memory_order_release);
+  return *slot;
 }
 
 void ShardedEngine::post(int src_shard, int dst_shard, Time t,
@@ -153,21 +177,18 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
   const Duration bound = planner_->pairs().at(src_shard, dst_shard);
   PASCHED_CHECK_MSG(t >= src.now() + bound,
                     "cross-shard post violates the guaranteed pair lookahead");
-  CrossNodeEvent ev{t,
-                    src.now(),
-                    bound,
-                    src_shard,
-                    post_seq_[static_cast<std::size_t>(src_shard)].v++,
+  ShardCounters& c = counters_[static_cast<std::size_t>(src_shard)].v;
+  CrossNodeEvent ev{t, src.now(), bound, src_shard, c.post_seq++,
                     std::move(fn)};
   if (monitor_ != nullptr)
     monitor_->on_post(src_shard, dst_shard, t, ev.sent_at, ev.src_seq);
-  ring_posts_.fetch_add(1, std::memory_order_relaxed);
+  bump(c.ring_posts);
   PairRing& r = ring_for(src_shard, dst_shard);
   if (!r.ring.try_push(std::move(ev))) {
     // Full ring: spill to the mutex-guarded overflow lane. Overflow keeps
     // the producer's sent_at order, so capped drains can still take a
     // clean prefix.
-    ring_overflows_.fetch_add(1, std::memory_order_relaxed);
+    bump(c.ring_overflows);
     const std::scoped_lock lk(r.mu);
     r.overflow.push_back(std::move(ev));
     r.overflow_n.store(r.overflow.size(), std::memory_order_relaxed);
@@ -189,14 +210,17 @@ void ShardedEngine::request_wrapup(Engine::Callback fn) {
 
 void ShardedEngine::drain_rings(int shard, const RoundPlan* plan, int j) {
   PASCHED_ALLOC_COLD_SCOPE("ShardedEngine::drain_rings");
-  const int S = partitions();
   std::vector<CrossNodeEvent>& q =
       arenas_[static_cast<std::size_t>(shard)].v.admit;
   q.clear();
-  for (int p = 0; p < S; ++p) {
-    if (p == shard) continue;
-    PairRing* r = ring_ptr(p, shard);
-    if (r == nullptr) continue;
+  // Only rings that exist are listed; the (t, src, seq) sort in
+  // admit_sorted makes the visiting order irrelevant.
+  const InboundList& in = inbound_[static_cast<std::size_t>(shard)].v;
+  const int live = in.n.load(std::memory_order_acquire);
+  for (int i = 0; i < live; ++i) {
+    const InboundList::Entry& ent = in.entries[static_cast<std::size_t>(i)];
+    const int p = ent.src;
+    PairRing* r = ent.ring;
     // Drain cap for chained window j: everything our sender could have
     // produced before the horizon we just waited for. sent_at is monotone
     // per ring, so the due set is a prefix — and it is schedule-derived,
@@ -257,13 +281,19 @@ PASCHED_HOT void ShardedEngine::admit_sorted(int shard,
   }
 }
 
-void ShardedEngine::wait_horizons(int shard, int j) {
+void ShardedEngine::wait_horizons(int shard, int j, int worker,
+                                  int nworkers) {
   const int S = partitions();
-  for (int p = 0; p < S; ++p) {
-    if (p == shard) continue;
-    const std::int64_t need = plan_.end_of(j - 1, p).count();
-    std::atomic<std::int64_t>& h = horizon_ns_[static_cast<std::size_t>(p)].v;
-    if (h.load(std::memory_order_acquire) < need) {
+  // Shards are dealt round-robin (worker w owns w, w + W, ...), and every
+  // worker finishes window j-1 of all its shards before window j of any,
+  // so only the other workers' shards can still be behind.
+  for (int w = 0; w < nworkers; ++w) {
+    if (w == worker) continue;
+    for (int p = w; p < S; p += nworkers) {
+      const std::int64_t need = plan_.end_of(j - 1, p).count();
+      std::atomic<std::int64_t>& h =
+          horizon_ns_[static_cast<std::size_t>(p)].v;
+      if (h.load(std::memory_order_acquire) >= need) continue;
 #if PASCHED_VALIDATE_ENABLED
       util::SeamObserver* obs = util::seam_observer();
       const std::uint64_t t0 = obs != nullptr ? util::detail::seam_now_ns() : 0;
@@ -277,10 +307,14 @@ void ShardedEngine::wait_horizons(int shard, int j) {
         obs->on_wait(horizon_wait_site(), util::detail::seam_now_ns() - t0);
 #endif
     }
-    // The acquire load above pairs with the owner's release publish: a real
-    // happens-before edge whether or not we had to spin.
-    if (monitor_ != nullptr) monitor_->on_horizon_wait(shard, p);
   }
+  // Every peer's window j-1 now happens-before this shard's window j: for
+  // other workers' shards through the acquire loads above (paired with the
+  // owners' release publishes, whether or not we had to spin), for our own
+  // through program order. The monitor records the edge for each of them.
+  if (monitor_ != nullptr)
+    for (int p = 0; p < S; ++p)
+      if (p != shard) monitor_->on_horizon_wait(shard, p);
 }
 
 void ShardedEngine::run_chain(int worker, int nworkers, int S) {
@@ -300,7 +334,7 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
         // window j-1 — wait for those horizons, then drain the due ring
         // prefixes. Window 1 needs neither: the round barrier already
         // parked every producer and the round-boundary drain was total.
-        wait_horizons(s, j);
+        wait_horizons(s, j, worker, nworkers);
         if (poisoned_.load(std::memory_order_relaxed)) return;
         drain_rings(s, &plan_, j);
       }
@@ -317,7 +351,7 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
         // Quiet-ring batching: nothing due this window (the drained rings
         // were quiet and the engine's next event lies at or past the end),
         // so the window coalesces into the chain as a pure clock advance.
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
+        bump(counters_[static_cast<std::size_t>(s)].v.coalesced);
       }
       // Always run (even when quiet): run_before ends by advancing the
       // clock to the window end, and a deterministic, schedule-derived
@@ -429,9 +463,11 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
   phase_ = 0;
   round_ = Round::Window;
   rounds_ = windows_ = final_rounds_ = 0;
-  coalesced_.store(0, std::memory_order_relaxed);
-  ring_posts_.store(0, std::memory_order_relaxed);
-  ring_overflows_.store(0, std::memory_order_relaxed);
+  for (auto& c : counters_) {
+    c.v.coalesced.store(0, std::memory_order_relaxed);
+    c.v.ring_posts.store(0, std::memory_order_relaxed);
+    c.v.ring_overflows.store(0, std::memory_order_relaxed);
+  }
   for (auto& h : horizon_ns_) h.v.store(kHorizonUnset, std::memory_order_relaxed);
 
   std::exception_ptr err;
@@ -528,8 +564,7 @@ std::size_t ShardedEngine::events_pending() const {
 }
 
 void ShardedEngine::drain() {
-  for (auto& slot : rings_) {
-    PairRing* r = slot.v.load(std::memory_order_acquire);
+  for (auto& r : rings_) {
     if (r == nullptr) continue;
     while (r->ring.front() != nullptr) r->ring.pop();
     const std::scoped_lock lk(r->mu);

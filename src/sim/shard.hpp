@@ -4,18 +4,22 @@
 // "hub" shard owns cluster-global hardware (the switch's combine unit).
 // Cross-shard events go through post(), which stamps send time and the
 // per-pair guaranteed lookahead and pushes them into the (source,
-// destination) pair's bounded SPSC ring.
+// destination) pair's bounded SPSC ring. Rings materialize on first post
+// and are listed in their destination's inbound list, so a drain visits
+// only the pairs that actually carry traffic, not every possible source.
 //
 // Execution advances in conservative windows (Chandy/Misra/Bryant style)
 // planned per *sync round* by the WindowPlanner (sim/planner.hpp): each
 // round, every shard publishes its next event time, the round barrier's
 // completion step computes a deterministic chain of up to `batch` per-shard
 // windows from the per-pair lookahead matrix, and workers execute the chain
-// with neighbor-horizon waits only — each shard spins on its peers'
-// published atomic horizon clocks, drains the due prefix of each inbound
-// ring, and runs its own window. The global barrier is paid once per round
-// (plus once at the end), not once per window; wrapups and stop requests
-// are honored at round boundaries, where every worker is parked.
+// with horizon waits only — before window j a shard spins on the published
+// atomic horizon clocks of the peers *other* workers own (a worker runs
+// window j-1 of all its shards before window j of any, so its own shards
+// are never behind; one worker never waits), drains the due prefix of each
+// inbound ring, and runs its own window. The global barrier is paid once
+// per round (plus once at the end), not once per window; wrapups and stop
+// requests are honored at round boundaries, where every worker is parked.
 //
 // The plan is a pure function of the round's published inputs and the ring
 // drains are capped by schedule-derived bounds, so which events fire in
@@ -160,6 +164,13 @@ class ShardedEngine final : public Router {
   /// Test hook: per-pair SPSC ring capacity (rounded up to a power of two).
   /// Call before the first post — live rings are not resized.
   void set_ring_capacity(std::size_t cap) noexcept { ring_capacity_ = cap; }
+  /// Test hooks (call while no workers run): whether the (src, dst) ring has
+  /// materialized, and the sources in `dst`'s inbound list, in install order.
+  [[nodiscard]] bool has_ring(int src, int dst) const {
+    return rings_[static_cast<std::size_t>(src) * engines_.size() +
+                  static_cast<std::size_t>(dst)] != nullptr;
+  }
+  [[nodiscard]] std::vector<int> inbound_sources(int dst) const;
 
   [[nodiscard]] std::uint64_t events_processed() const;
   /// Events fired with timestamp strictly below `t`. Valid after run_until()
@@ -229,41 +240,70 @@ class ShardedEngine final : public Router {
     std::vector<CrossNodeEvent> admit;
   };
 
+  /// Ledger site of every InboundList::mu.
+  [[nodiscard]] static int inbound_mu_site();
+
+  /// One destination's inbound ring list: (source, ring) for every pair ring
+  /// installed toward it. ring_for() appends under `mu` — once per ring, and
+  /// several sources' workers may install concurrently — and publishes with
+  /// a release store of `n`; drain_rings() acquires `n` and walks only the
+  /// live rings. `entries` is sized partitions() up front and never grows.
+  struct InboundList {
+    struct Entry {
+      int src = 0;
+      PairRing* ring = nullptr;
+    };
+    util::SeamMutex mu{inbound_mu_site()};
+    std::atomic<int> n{0};
+    std::vector<Entry> entries;
+  };
+
+  /// Per-shard execution counters and the post sequence. Each is written
+  /// only by the worker currently running the shard (post() runs on the
+  /// source's worker, window accounting on the owner's; the completion step
+  /// and run_until's setup are barrier-ordered against both), so increments
+  /// are plain relaxed load + store rather than lock-prefixed RMWs on a
+  /// shared line. planner_stats() sums them.
+  struct ShardCounters {
+    std::uint64_t post_seq = 0;
+    std::atomic<std::uint64_t> coalesced{0};
+    std::atomic<std::uint64_t> ring_posts{0};
+    std::atomic<std::uint64_t> ring_overflows{0};
+  };
+
   [[nodiscard]] PairRing& ring_for(int src, int dst);
-  [[nodiscard]] PairRing* ring_ptr(int src, int dst) const noexcept {
-    return rings_[static_cast<std::size_t>(src) * engines_.size() +
-                  static_cast<std::size_t>(dst)]
-        .v.load(std::memory_order_acquire);
-  }
 
   /// Drains every inbound ring of `shard` into its engine. With `plan`
   /// null, drains everything (round boundary: all producers are parked at
   /// the barrier). Otherwise drains each pair's due prefix for chained
   /// window `j`: entries with sent_at < W(j)_dst - L_pair, a cap the
-  /// neighbor-horizon wait has made complete and whose leftovers provably
-  /// belong to future windows (DESIGN.md §7).
+  /// horizon wait has made complete and whose leftovers provably belong to
+  /// future windows (DESIGN.md §7).
   void drain_rings(int shard, const RoundPlan* plan, int j);
   /// Hot half of admission: canonical (t, src, seq) ordering plus per-event
   /// delivery into the destination engine. Lock-free by construction.
   PASCHED_HOT void admit_sorted(int shard, std::vector<CrossNodeEvent>& q);
-  /// Spins until every peer's horizon clock reaches its chained window
-  /// j-1 end (acquire; instrumented as the "ShardedEngine.horizon_wait"
-  /// ledger seam). Returns early when the run is poisoned.
-  void wait_horizons(int shard, int j);
+  /// Spins until the horizon clock of every peer owned by a worker other
+  /// than `worker` reaches its chained window j-1 end (acquire;
+  /// instrumented as the "ShardedEngine.horizon_wait" ledger seam). Peers
+  /// `worker` owns already finished window j-1. Returns early when the run
+  /// is poisoned.
+  void wait_horizons(int shard, int j, int worker, int nworkers);
   void run_chain(int worker, int nworkers, int S);
   void plan_round(Time deadline) noexcept;
 
   std::vector<std::unique_ptr<Engine>> engines_;
   /// Row-major (src, dst) pair rings, allocated lazily on first post —
-  /// S^2 slots but only communicating pairs materialize. The atomic
-  /// pointer publish (CAS by the producer) is what lets the consumer
-  /// discover new rings without a lock.
-  std::vector<util::CacheAligned<std::atomic<PairRing*>>> rings_;
+  /// S^2 slots but only communicating pairs materialize. Row src is read
+  /// and written only by the worker running shard src (the producer);
+  /// consumers find their rings through inbound_.
+  std::vector<std::unique_ptr<PairRing>> rings_;
+  std::vector<util::CacheAligned<InboundList>> inbound_;
   std::vector<util::CacheAligned<ShardArena>> arenas_;
   // Per-shard slots written by distinct domains every window: one cache
   // line each, or the sharded hot path false-shares its own bookkeeping
   // (the PSL503 layout rule guards this).
-  std::vector<util::CacheAligned<std::uint64_t>> post_seq_;  // owner-written
+  std::vector<util::CacheAligned<ShardCounters>> counters_;
   std::vector<util::CacheAligned<Time>> next_t_;  // published pre-barrier
   /// Per-shard horizon clocks (ns since epoch): the owner stores its
   /// chained window end with release after running the window; peers
@@ -287,14 +327,11 @@ class ShardedEngine final : public Router {
   int phase_ = 0;
   bool stopped_early_ = false;
 
-  // Execution counters. rounds/windows/final_rounds are completion-step
-  // only; the rest are worker-incremented atomics.
+  // Execution counters written only in the completion step; the
+  // worker-side ones live in counters_.
   std::uint64_t rounds_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t final_rounds_ = 0;
-  alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> coalesced_{0};
-  alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> ring_posts_{0};
-  alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> ring_overflows_{0};
 
   alignas(util::kCacheLineBytes) std::atomic<bool> stop_flag_{false};
   /// Set when a worker dies mid-round: every horizon spin checks it so the

@@ -3,11 +3,14 @@
 // and ShardedEngine's cross-shard posting, window planning, and teardown.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "check/check.hpp"
+#include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
 #include "sim/shard.hpp"
@@ -19,7 +22,10 @@ using pasched::sim::Engine;
 using pasched::sim::EventId;
 using pasched::sim::PlannerMode;
 using pasched::sim::PlannerStats;
+using pasched::sim::Router;
 using pasched::sim::ShardedEngine;
+using pasched::sim::ShardMonitor;
+using pasched::sim::SingleRouter;
 using pasched::sim::Time;
 
 TEST(EngineWindow, RunBeforeIsExclusiveOfTheEndpoint) {
@@ -331,6 +337,142 @@ TEST(Sharded, RingCapacityOneStillDeliversEverythingThroughOverflow) {
   const PlannerStats st = se.planner_stats();
   EXPECT_EQ(st.ring_posts, 10U);
   EXPECT_EQ(st.ring_overflows, 8U);  // 2 slots held, 8 spilled
+}
+
+namespace {
+// Seven shards (six nodes plus the hub) ticking every microsecond. Every
+// fifth tick posts to the next shard round the ring, so those pairs' rings
+// exist from the first window on; three more pairs stay silent until a
+// tick inside a later chained window of the first round (windows are 10 us
+// apart, so 15 us, 36 us and 57 us fall in chained windows 2, 4 and 6):
+// 4 -> 2 crosses workers, 3 -> 0 stays on one worker, 6 -> 1 leaves the hub
+// (3 workers own {0, 3, 6}, {1, 4} and {2, 5}). No two events on a shard
+// share a timestamp, so every execution mode must fire each shard's events
+// in the same order. Router-agnostic: the classic engine runs it too.
+struct LateRings {
+  static constexpr int kShards = 7;
+  static constexpr int kTicks = 300;
+  static constexpr Duration kLookahead = Duration::us(10);
+  struct Late {
+    int src;
+    int dst;
+    std::int64_t first_ns;
+  };
+  static constexpr std::array<Late, 3> kLate = {
+      {{4, 2, 15'000}, {3, 0, 36'000}, {6, 1, 57'000}}};
+
+  Router& r;
+  // (fire time, source shard or -1 for a local tick), one log per shard and
+  // written only by the worker running that shard.
+  std::array<std::vector<std::pair<std::int64_t, int>>, kShards> log;
+
+  void start() {
+    for (int s = 0; s < kShards; ++s)
+      r.engine_of(s).schedule_at(Time::from_ns(1000),
+                                 [this, s] { tick(s, 1); });
+  }
+  void tick(int s, int k) {
+    const Time now = r.engine_of(s).now();
+    log[static_cast<std::size_t>(s)].emplace_back(now.count(), -1);
+    if (k % 5 == 0) send(s, (s + 1) % kShards, now);
+    for (const Late& l : kLate)
+      if (l.src == s && now.count() >= l.first_ns && k % 3 == 0)
+        send(s, l.dst, now);
+    if (k < kTicks)
+      r.engine_of(s).schedule_at(now + Duration::us(1),
+                                 [this, s, k] { tick(s, k + 1); });
+  }
+  void send(int src, int dst, Time now) {
+    // Arrival offset by source keeps cross-shard arrivals off the tick grid
+    // and off each other.
+    r.post(src, dst, now + kLookahead + Duration::ns(10 * (src + 1) + 1),
+           [this, src, dst] {
+             log[static_cast<std::size_t>(dst)].emplace_back(
+                 r.engine_of(dst).now().count(), src);
+           });
+  }
+};
+
+// Records the chained window (1-based, within the current round) each
+// shard is executing when it first posts on each pair. Every slot has a
+// single writer: the window counter is bumped by the shard's own worker
+// and reset in the completion step; a pair's slot is written by the
+// source's worker.
+class FirstPostWindow final : public ShardMonitor {
+ public:
+  std::array<int, LateRings::kShards> window{};
+  std::array<int, LateRings::kShards * LateRings::kShards> first{};
+  std::array<int, LateRings::kShards * LateRings::kShards> first_round{};
+  int round = 0;
+
+  void on_post(int src, int dst, Time, Time, std::uint64_t) override {
+    const auto i = static_cast<std::size_t>(src * LateRings::kShards + dst);
+    if (first[i] == 0) {
+      first[i] = window[static_cast<std::size_t>(src)];
+      first_round[i] = round;
+    }
+  }
+  void on_admit(int, int, std::uint64_t, Time, Time) override {}
+  void on_window_begin(int shard, Time) override {
+    ++window[static_cast<std::size_t>(shard)];
+  }
+  void on_plan(Time, bool) override {
+    ++round;
+    window.fill(0);
+  }
+};
+}  // namespace
+
+TEST(Sharded, RingFirstUsedInALaterChainedWindowMatchesEveryMode) {
+  const auto sharded = [](int workers, ShardMonitor* mon) {
+    ShardedEngine se(LateRings::kShards - 1, LateRings::kLookahead);
+    se.set_monitor(mon);
+    LateRings sc{se, {}};
+    sc.start();
+    EXPECT_TRUE(se.run_until(Time::from_ns(400'000), workers));
+    // The inbound lists hold exactly the materialized rings: the six ring
+    // neighbours plus the three late pairs, each listed once.
+    int rings = 0;
+    for (int dst = 0; dst < LateRings::kShards; ++dst) {
+      const std::vector<int> listed = se.inbound_sources(dst);
+      const std::set<int> unique(listed.begin(), listed.end());
+      EXPECT_EQ(unique.size(), listed.size()) << "dst " << dst;
+      std::set<int> live;
+      for (int src = 0; src < LateRings::kShards; ++src)
+        if (se.has_ring(src, dst)) live.insert(src);
+      EXPECT_EQ(unique, live) << "dst " << dst;
+      rings += static_cast<int>(live.size());
+    }
+    EXPECT_EQ(rings, LateRings::kShards +
+                         static_cast<int>(LateRings::kLate.size()));
+    for (const LateRings::Late& l : LateRings::kLate)
+      EXPECT_TRUE(se.has_ring(l.src, l.dst)) << l.src << " -> " << l.dst;
+    return sc.log;
+  };
+
+  Engine classic_engine;
+  SingleRouter classic_router(classic_engine);
+  LateRings classic{classic_router, {}};
+  classic.start();
+  classic_engine.run_until(Time::from_ns(400'000));
+  for (const auto& l : classic.log)
+    EXPECT_GT(l.size(), static_cast<std::size_t>(LateRings::kTicks));
+
+  FirstPostWindow mon;
+  const auto watched = sharded(3, &mon);
+  // The late pairs really were first used inside chained windows j >= 2 of
+  // the first round (and the ring pairs in its first window).
+  for (const LateRings::Late& l : LateRings::kLate) {
+    const auto i =
+        static_cast<std::size_t>(l.src * LateRings::kShards + l.dst);
+    EXPECT_EQ(mon.first_round[i], 1) << l.src << " -> " << l.dst;
+    EXPECT_GE(mon.first[i], 2) << l.src << " -> " << l.dst;
+  }
+  EXPECT_EQ(mon.first[1], 1);  // pair 0 -> 1
+
+  EXPECT_EQ(watched, classic.log);
+  EXPECT_EQ(sharded(3, nullptr), classic.log);
+  EXPECT_EQ(sharded(1, nullptr), classic.log);
 }
 
 TEST(Sharded, TeardownWithPendingEventsDoesNotLeak) {
