@@ -30,10 +30,10 @@
 // row whose off-diagonal bounds are all equal (every row, on a flat fabric)
 // costs O(1) per window instead of O(shards).
 //
-// Every window end is a pure function of the round's published inputs, so
-// all shards compute the identical schedule independently — no coordinator
-// and no timing dependence, which is what keeps --parallel=1 and
-// --parallel=N bit-identical. Safety argument (why a shard can never
+// Every window end is a pure function of the round's published inputs
+// (the engine plans once per round, in the round barrier's completion
+// step), so the schedule has no timing dependence, which is what keeps
+// --parallel=1 and --parallel=N bit-identical. Safety argument (why a shard can never
 // receive an event in its past) is spelled out in DESIGN.md §7.
 //
 // PlannerMode::Global reproduces the legacy schedule exactly (one window
